@@ -13,7 +13,7 @@
 //!   The incremental delta must copy only the dirty pages; the row reports
 //!   latency and the copied/skipped page split from the I/O counters.
 
-use orion_core::durable::{DurableDb, SharedDurableDb};
+use orion_core::durable::SharedDurableDb;
 use orion_core::prelude::*;
 use orion_obs::json;
 use orion_pdf::prelude::*;
@@ -182,7 +182,7 @@ pub fn run_group_commit(cfg: &DurabilityConfig) -> Vec<GroupCommitRow> {
     rows
 }
 
-fn fill(db: &mut DurableDb, from: usize, n: usize) {
+fn fill(db: &SharedDurableDb, from: usize, n: usize) {
     for i in from..from + n {
         db.insert_simple(
             "readings",
@@ -193,7 +193,7 @@ fn fill(db: &mut DurableDb, from: usize, n: usize) {
     }
 }
 
-fn ckpt_pages(db: &DurableDb) -> (u64, u64) {
+fn ckpt_pages(db: &SharedDurableDb) -> (u64, u64) {
     let io = db.io_stats().snapshot();
     (io.ckpt_pages_copied, io.ckpt_pages_skipped)
 }
@@ -205,9 +205,9 @@ pub fn run_checkpoints(cfg: &DurabilityConfig, dir: &Path) -> Vec<CheckpointRow>
     for &n in &cfg.checkpoint_sizes {
         let dir = dir.join(format!("ckpt_{n}"));
         std::fs::remove_dir_all(&dir).ok();
-        let mut db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         db.create_table("readings", bench_schema()).unwrap();
-        fill(&mut db, 0, n);
+        fill(&db, 0, n);
         let before = ckpt_pages(&db);
         let t0 = Instant::now();
         db.checkpoint().unwrap();
@@ -221,7 +221,7 @@ pub fn run_checkpoints(cfg: &DurabilityConfig, dir: &Path) -> Vec<CheckpointRow>
             pages_skipped: after.1 - before.1,
         });
 
-        fill(&mut db, n, cfg.checkpoint_tail);
+        fill(&db, n, cfg.checkpoint_tail);
         let before = ckpt_pages(&db);
         let t0 = Instant::now();
         db.checkpoint_incremental().unwrap();

@@ -605,19 +605,21 @@ pub fn cleanup(dir: &Path) {
 mod tests {
     use super::*;
 
-    fn tiny_cfg() -> Fig5Config {
+    /// A small sweep in a directory of its own: tests run concurrently and
+    /// each one deletes its directory when done.
+    fn tiny_cfg(test: &str) -> Fig5Config {
         Fig5Config {
             tuple_counts: vec![2_000],
             pool_pages: 16,
             n_queries: 2,
-            dir: std::env::temp_dir().join("orion_fig5_test"),
+            dir: std::env::temp_dir().join("orion_fig5_test").join(test),
             ..Fig5Config::default()
         }
     }
 
     #[test]
     fn discrete_occupies_more_pages_and_reads() {
-        let cfg = tiny_cfg();
+        let cfg = tiny_cfg("discrete_occupies_more_pages_and_reads");
         let hist = run_one(&cfg, 2_000, Repr::Histogram(5)).unwrap();
         let disc = run_one(&cfg, 2_000, Repr::Discrete(25)).unwrap();
         let symb = run_one(&cfg, 2_000, Repr::Symbolic).unwrap();
@@ -631,7 +633,7 @@ mod tests {
     fn matches_are_consistent_across_reprs() {
         // At equal accuracy (hist-5 vs disc-25) the query answers should
         // largely agree; symbolic is the ground truth.
-        let cfg = tiny_cfg();
+        let cfg = tiny_cfg("matches_are_consistent_across_reprs");
         let hist = run_one(&cfg, 2_000, Repr::Histogram(5)).unwrap();
         let disc = run_one(&cfg, 2_000, Repr::Discrete(25)).unwrap();
         let symb = run_one(&cfg, 2_000, Repr::Symbolic).unwrap();
@@ -645,7 +647,7 @@ mod tests {
     fn batch_mode_matches_row_mode_per_repr() {
         // The batched range-probe kernels must agree with the scalar path
         // exactly: compare_one errors out on any match-count divergence.
-        let cfg = tiny_cfg();
+        let cfg = tiny_cfg("batch_mode_matches_row_mode_per_repr");
         for repr in [Repr::Histogram(5), Repr::Discrete(25), Repr::Symbolic] {
             let cmp = compare_one(&cfg, 2_000, repr).unwrap();
             assert!(cmp.matches > 0, "{}: degenerate workload", cmp.repr);
@@ -656,7 +658,7 @@ mod tests {
 
     #[test]
     fn run_one_mode_reports_its_mode() {
-        let cfg = tiny_cfg();
+        let cfg = tiny_cfg("run_one_mode_reports_its_mode");
         let row = run_one_mode(&cfg, 1_000, Repr::Histogram(5), ExecMode::Row).unwrap();
         let batch = run_one_mode(&cfg, 1_000, Repr::Histogram(5), ExecMode::Batch).unwrap();
         assert_eq!(row.mode, "row");
@@ -694,7 +696,7 @@ mod tests {
 
     #[test]
     fn io_snapshot_rides_along_in_json() {
-        let cfg = tiny_cfg();
+        let cfg = tiny_cfg("io_snapshot_rides_along_in_json");
         let row = run_one(&cfg, 1_000, Repr::Histogram(5)).unwrap();
         assert_eq!(row.io.physical_reads, row.physical_reads);
         assert!(row.threads >= 1);
@@ -769,7 +771,7 @@ mod tests {
 
     #[test]
     fn pages_scale_linearly_with_tuples() {
-        let cfg = tiny_cfg();
+        let cfg = tiny_cfg("pages_scale_linearly_with_tuples");
         let a = run_one(&cfg, 1_000, Repr::Histogram(5)).unwrap();
         let b = run_one(&cfg, 2_000, Repr::Histogram(5)).unwrap();
         let ratio = b.pages as f64 / a.pages as f64;

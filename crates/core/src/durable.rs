@@ -1,7 +1,7 @@
 //! Durable database: atomic snapshots + a write-ahead log, with crash
 //! recovery.
 //!
-//! A [`DurableDb`] lives in a directory holding two files:
+//! A [`SharedDurableDb`] lives in a directory holding two files:
 //!
 //! * `snapshot.db` — the last checkpoint, written atomically by
 //!   [`crate::persist::save_database`] (temp file → fsync → rename);
@@ -16,9 +16,9 @@
 //! tuple leaves refcount-0 orphan bases — harmless, reclaimed at the next
 //! checkpoint (reference counts are rebuilt only from tuple records).
 //! If logging fails, the in-memory mutation is **rolled back** (tuple
-//! popped, freshly registered bases released) and the WAL is truncated to
-//! its pre-insert length, so memory never diverges from what recovery
-//! would rebuild.
+//! removed by identity, freshly registered bases released) and the WAL is
+//! truncated to its pre-insert length, so memory never diverges from what
+//! recovery would rebuild.
 //!
 //! **Checkpoints.** A checkpoint writes an atomic snapshot stamped with a
 //! fresh *epoch*, then empties the WAL. The first record logged after a
@@ -28,9 +28,9 @@
 //! compares epochs and discards such a stale WAL instead of replaying it
 //! over state that already contains its records.
 //!
-//! **Recovery.** [`DurableDb::open`] folds the snapshot **chain** (base
-//! `snapshot.db` plus any incremental `delta-*.db` files, pages merged in
-//! epoch order before a single decode pass — see
+//! **Recovery.** [`SharedDurableDb::open`] folds the snapshot **chain**
+//! (base `snapshot.db` plus any incremental `delta-*.db` files, pages
+//! merged in epoch order before a single decode pass — see
 //! [`crate::persist::load_chain`]), truncates any torn WAL tail, discards
 //! the whole WAL if its epoch predates the chain's, and otherwise replays
 //! every committed record through the same
@@ -43,17 +43,17 @@
 //! [`orion_storage::GroupWal`]: each commit enqueues its framed records,
 //! one elected leader performs a single batched `append + fsync` for every
 //! queued commit, and followers block on their commit sequence number.
-//! [`DurableDb`]'s `&mut self` API commits solo (one fsync each);
-//! [`SharedDurableDb`] exposes the same database behind `&self` methods so
-//! concurrent writers actually share fsyncs. Tunables (batching window,
-//! max batch bytes) live in [`orion_storage::GroupCommitConfig`].
+//! [`SharedDurableDb`] is the one engine handle: its methods take `&self`
+//! and an insert commits outside the core lock, so concurrent writers
+//! share fsyncs. Tunables (batching window, max batch bytes) live in
+//! [`orion_storage::GroupCommitConfig`].
 //!
-//! **Incremental checkpoints.** [`DurableDb::checkpoint_incremental`]
+//! **Incremental checkpoints.** [`SharedDurableDb::checkpoint_incremental`]
 //! rebuilds the chain's pages in memory, appends only the records created
 //! since the last checkpoint, and writes the pages that mutation dirtied
 //! into an epoch-stamped [`orion_storage::DeltaFile`]
 //! (temp → fsync → rename): the cost scales with the new data, not the
-//! database. A full [`DurableDb::checkpoint`] rewrites the base and
+//! database. A full [`SharedDurableDb::checkpoint`] rewrites the base and
 //! deletes the delta chain it subsumes.
 
 use crate::error::{EngineError, Result};
@@ -63,7 +63,7 @@ use crate::pindex::{IndexCatalog, IndexDef, IndexHandle, IndexKind};
 use crate::plan_feedback::PlanFeedbackStore;
 use crate::relation::Relation;
 use crate::schema::ProbSchema;
-use crate::stats_catalog::{analyze_relation, StatsCatalog};
+use crate::stats_catalog::{analyze_relation, StatsCatalog, TableStats};
 use crate::tuple::ProbTuple;
 use crate::value::Value;
 use orion_obs::workload::WorkloadRepo;
@@ -77,12 +77,12 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Snapshot file name inside a [`DurableDb`] directory.
+/// Snapshot file name inside a [`SharedDurableDb`] directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.db";
-/// Write-ahead log file name inside a [`DurableDb`] directory.
+/// Write-ahead log file name inside a [`SharedDurableDb`] directory.
 pub const WAL_FILE: &str = "wal.log";
 
-/// What [`DurableDb::open`] found and did while recovering.
+/// What [`SharedDurableDb::open`] found and did while recovering.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
     /// Whether a snapshot file existed and was loaded.
@@ -161,513 +161,6 @@ impl CkptMarks {
             stats: stats.encode(),
             indexes: indexes.encode(),
             mutated: false,
-        }
-    }
-}
-
-/// A database rooted in a directory, surviving crashes at any point.
-#[derive(Debug)]
-pub struct DurableDb {
-    dir: PathBuf,
-    tables: HashMap<String, Relation>,
-    reg: HistoryRegistry,
-    wal: GroupWal,
-    /// Checkpoint epoch of the current snapshot chain (0 before any
-    /// checkpoint). WAL records only count at recovery if their log
-    /// carries this epoch.
-    epoch: u64,
-    marks: CkptMarks,
-    recovery: RecoveryReport,
-    /// Per-table statistics collected by [`DurableDb::analyze_table`],
-    /// persisted as WAL/snapshot records so they survive recovery.
-    stats: StatsCatalog,
-    /// Secondary-index catalog: definitions are durable (WAL + snapshot
-    /// records), trees are rebuilt lazily. Shared with query executors
-    /// via [`DurableDb::indexes`].
-    indexes: IndexHandle,
-    /// Checkpoint page accounting (`ckpt_pages_copied` / `_skipped`).
-    io: Arc<IoStats>,
-    /// Per-statement workload repository fed by the SQL session layer;
-    /// persisted to a [`WORKLOAD_FILE`] sidecar at checkpoint when
-    /// `ORION_STATEMENTS_PERSIST=1`.
-    workload: Arc<WorkloadRepo>,
-    /// Planner cardinality-feedback store folded from profiled executions.
-    feedback: Arc<PlanFeedbackStore>,
-}
-
-impl DurableDb {
-    /// Opens (creating if absent) the database in `dir`, running crash
-    /// recovery: snapshot-chain fold, torn-tail truncation, stale-WAL
-    /// rejection, WAL replay. Group commit uses default tunables; see
-    /// [`DurableDb::open_with`].
-    pub fn open(dir: &Path) -> Result<Self> {
-        Self::open_with(dir, GroupCommitConfig::default())
-    }
-
-    /// [`DurableDb::open`] with explicit group-commit tunables.
-    pub fn open_with(dir: &Path, cfg: GroupCommitConfig) -> Result<Self> {
-        std::fs::create_dir_all(dir)?;
-        // Crash observability: flight-recorder dumps land next to the data
-        // they describe, and a panic anywhere in the process leaves one
-        // (both no-ops unless the recorder is enabled via ORION_TRACE=1 or
-        // recorder::set_enabled).
-        orion_obs::recorder::set_dump_dir(dir);
-        orion_obs::recorder::install_panic_hook();
-        let snap = dir.join(SNAPSHOT_FILE);
-        let mut state = LoadState::default();
-        let chain = persist::load_chain(&snap, dir, &mut state)?;
-        let snap_epoch = state.wal_epoch;
-        // Everything loaded so far lives in the persistent chain: that is
-        // what the next incremental checkpoint starts from. WAL records
-        // replayed below are new relative to it.
-        let marks = CkptMarks::capture(&state.tables, &state.reg, &state.stats, &state.indexes);
-        let (mut wal, replay) = Wal::open(&dir.join(WAL_FILE))?;
-        let wal_epoch = replay.records.first().and_then(|r| persist::record_epoch(r)).unwrap_or(0);
-        let mut replayed = 0u64;
-        let mut stale_discarded = 0u64;
-        let mut incomplete_discarded = 0u64;
-        if wal_epoch < snap_epoch {
-            // The WAL predates the snapshot: a crash hit the window between
-            // a checkpoint's commit point (snapshot rename / delta rename)
-            // and its WAL reset. Every record here is already folded into
-            // the chain — replaying would duplicate tuples and
-            // double-count refcounts.
-            stale_discarded = replay.records.len() as u64;
-            if stale_discarded > 0 {
-                wal.reset()?;
-            }
-        } else {
-            // Transaction framing: records between a begin marker and its
-            // commit marker are buffered and applied only when the commit
-            // is seen — all-or-nothing. An abort marker, or a begin whose
-            // commit never reached stable storage (crash mid-transaction),
-            // discards the buffered records wholesale.
-            let mut txn_buf: Option<(u64, Vec<&[u8]>)> = None;
-            for rec in &replay.records {
-                if let Some(marker) = persist::txn_marker(rec) {
-                    match (marker, &mut txn_buf) {
-                        (persist::TxnMarker::Begin(id), None) => txn_buf = Some((id, Vec::new())),
-                        (persist::TxnMarker::Begin(_), Some(_)) => {
-                            return Err(EngineError::Corrupt(
-                                "nested transaction begin in WAL".into(),
-                            ))
-                        }
-                        (persist::TxnMarker::Commit(id), Some((txid, buffered))) if id == *txid => {
-                            for r in buffered.drain(..) {
-                                persist::apply_record(r, &mut state)?;
-                                replayed += 1;
-                            }
-                            txn_buf = None;
-                        }
-                        (persist::TxnMarker::Abort(id), Some((txid, buffered))) if id == *txid => {
-                            incomplete_discarded += buffered.len() as u64;
-                            txn_buf = None;
-                        }
-                        (m, _) => {
-                            return Err(EngineError::Corrupt(format!(
-                                "transaction marker {m:?} without matching begin"
-                            )))
-                        }
-                    }
-                    continue;
-                }
-                match &mut txn_buf {
-                    Some((_, buffered)) => buffered.push(rec),
-                    None => {
-                        persist::apply_record(rec, &mut state)?;
-                        if persist::record_epoch(rec).is_none() {
-                            replayed += 1;
-                        }
-                    }
-                }
-            }
-            if let Some((_, buffered)) = txn_buf {
-                // Crash after the begin but before the commit made it to
-                // stable storage: the transaction never committed.
-                incomplete_discarded += buffered.len() as u64;
-            }
-        }
-        let recovery = RecoveryReport {
-            snapshot_loaded: chain.snapshot_loaded,
-            wal_records_replayed: replayed,
-            wal_bytes_truncated: replay.truncated_bytes,
-            stale_wal_records_discarded: stale_discarded,
-            deltas_folded: chain.deltas_folded,
-            stale_deltas_removed: chain.stale_deltas_removed,
-            incomplete_txn_records_discarded: incomplete_discarded,
-        };
-        let epoch = state.wal_epoch.max(snap_epoch);
-        let stats = state.take_stats();
-        let indexes = IndexHandle::from_catalog(state.take_indexes());
-        let (tables, reg) = state.finish();
-        let wal = GroupWal::new(wal, cfg);
-        set_epoch_stamp(&wal, epoch)?;
-        let workload = Arc::new(WorkloadRepo::from_env());
-        let feedback = Arc::new(PlanFeedbackStore::new());
-        load_workload_sidecar(dir, &workload, &feedback);
-        Ok(DurableDb {
-            dir: dir.to_path_buf(),
-            tables,
-            reg,
-            wal,
-            epoch,
-            marks,
-            recovery,
-            stats,
-            indexes,
-            io: Arc::new(IoStats::default()),
-            workload,
-            feedback,
-        })
-    }
-
-    /// Creates a table and durably logs its schema. On failure nothing is
-    /// applied: the [`GroupWal`] truncates the failed batch away and the
-    /// table is not created.
-    pub fn create_table(&mut self, name: &str, schema: ProbSchema) -> Result<()> {
-        if self.tables.contains_key(name) {
-            return Err(EngineError::Schema(format!("table '{name}' already exists")));
-        }
-        let rel = Relation::new(name, schema);
-        let mut buf = Vec::new();
-        persist::encode_schema(&rel, &mut buf);
-        self.wal.commit(&[buf])?;
-        self.tables.insert(name.to_string(), rel);
-        Ok(())
-    }
-
-    /// Collects per-column statistics for `table` (see
-    /// [`crate::stats_catalog::analyze_relation`]) and durably logs the
-    /// resulting [`crate::stats_catalog::TableStats`] record. Replay is an
-    /// overwrite per table, so re-analyzing simply supersedes the old
-    /// record. On a failed commit nothing is applied — the in-memory
-    /// catalog keeps its previous entry (or none).
-    pub fn analyze_table(&mut self, table: &str) -> Result<()> {
-        let rel = self
-            .tables
-            .get(table)
-            .ok_or_else(|| EngineError::Operator(format!("unknown table '{table}'")))?;
-        let ts = analyze_relation(rel)?;
-        let mut buf = Vec::new();
-        persist::encode_stats(&ts, &mut buf);
-        self.wal.commit(&[buf])?;
-        self.stats.insert(ts);
-        Ok(())
-    }
-
-    /// The statistics catalog (empty until [`DurableDb::analyze_table`]).
-    pub fn stats_catalog(&self) -> &StatsCatalog {
-        &self.stats
-    }
-
-    /// Creates a secondary index and durably logs its definition. `kind`
-    /// defaults by column certainty (`cdf` for uncertain, `evx` for
-    /// certain). Only the definition is persisted — the tree is rebuilt
-    /// lazily on first use. On a failed commit nothing is applied.
-    pub fn create_index(
-        &mut self,
-        name: &str,
-        table: &str,
-        column: &str,
-        kind: Option<IndexKind>,
-    ) -> Result<()> {
-        let def = validate_index_def(&self.tables, &self.indexes, name, table, column, kind)?;
-        let mut buf = Vec::new();
-        persist::encode_index_def(&def, &mut buf);
-        self.wal.commit(&[buf])?;
-        self.indexes.lock().create(def)
-    }
-
-    /// Drops a secondary index and durably logs the drop. On a failed
-    /// commit nothing is applied.
-    pub fn drop_index(&mut self, name: &str) -> Result<()> {
-        if self.indexes.lock().get(name).is_none() {
-            return Err(EngineError::Operator(format!("unknown index '{name}'")));
-        }
-        let mut buf = Vec::new();
-        persist::encode_index_drop(name, &mut buf);
-        self.wal.commit(&[buf])?;
-        let _ = self.indexes.lock().drop_index(name);
-        // The chain may still carry this index's definition record; an
-        // append-only delta cannot retract it, so the next checkpoint
-        // must rewrite the base.
-        self.marks.mutated = true;
-        Ok(())
-    }
-
-    /// The shared index catalog handle (seed it into
-    /// [`crate::select::ExecOptions::indexes`] so the planner sees it).
-    pub fn indexes(&self) -> IndexHandle {
-        self.indexes.clone()
-    }
-
-    /// Inserts a tuple (see [`Relation::insert`]) and commits it through
-    /// the WAL. On return the insert is durable; on error nothing is
-    /// applied — a failed WAL append/sync rolls the in-memory mutation
-    /// back, so memory and log never diverge.
-    pub fn insert(
-        &mut self,
-        table: &str,
-        certain: &[(&str, Value)],
-        uncertain: Vec<(Vec<&str>, JointPdf)>,
-    ) -> Result<()> {
-        let before = self.reg.last_id();
-        let rel = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| EngineError::Operator(format!("unknown table '{table}'")))?;
-        rel.insert(&mut self.reg, certain, uncertain)?;
-        self.log_tail(table, before)?;
-        self.indexes.lock().note_mutation(table);
-        Ok(())
-    }
-
-    /// Inserts a tuple of independent 1-D pdfs (see
-    /// [`Relation::insert_simple`]) and commits it through the WAL, with
-    /// the same rollback-on-failure guarantee as [`DurableDb::insert`].
-    pub fn insert_simple(
-        &mut self,
-        table: &str,
-        certain: &[(&str, Value)],
-        pdfs: &[(&str, Pdf1)],
-    ) -> Result<()> {
-        let before = self.reg.last_id();
-        let rel = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| EngineError::Operator(format!("unknown table '{table}'")))?;
-        rel.insert_simple(&mut self.reg, certain, pdfs)?;
-        self.log_tail(table, before)?;
-        self.indexes.lock().note_mutation(table);
-        Ok(())
-    }
-
-    /// Logs the base pdfs the last insert registered (ids in
-    /// `before..=last`) and the tuple record as **one group-commit unit**
-    /// — the tuple record is the commit point. Any failure rolls back both
-    /// the WAL (the [`GroupWal`] truncates the failed batch) and the
-    /// in-memory mutation.
-    fn log_tail(&mut self, table: &str, before: u64) -> Result<()> {
-        let payloads = match encode_insert_payloads(&self.tables, &self.reg, table, before) {
-            Ok(p) => p,
-            Err(e) => {
-                self.rollback_last_insert(table, before);
-                return Err(e);
-            }
-        };
-        if let Err(e) = self.wal.commit(&payloads) {
-            self.rollback_last_insert(table, before);
-            return Err(e.into());
-        }
-        Ok(())
-    }
-
-    /// Undoes the in-memory effects of the insert that registered bases
-    /// `before+1..=last`: pops its tuple, releases the references the
-    /// tuple's nodes took, and deletes the bases it registered (now
-    /// unreferenced). Restores the exact pre-insert state recovery would
-    /// rebuild from the (also rolled-back) WAL.
-    fn rollback_last_insert(&mut self, table: &str, before: u64) {
-        if let Some(rel) = self.tables.get_mut(table) {
-            if let Some(t) = rel.tuples.pop() {
-                for n in &t.nodes {
-                    self.reg.release_refs(&n.ancestors);
-                }
-            }
-        }
-        for id in before + 1..=self.reg.last_id() {
-            self.reg.delete_base(id);
-        }
-    }
-
-    /// Full checkpoint: atomically writes a fresh base snapshot stamped
-    /// with the next epoch, deletes the delta chain it subsumes, then
-    /// empties the WAL (whose records the snapshot now contains).
-    /// Crash-atomic at every point: until the snapshot rename lands,
-    /// recovery uses the old chain + full WAL; once it lands, leftover
-    /// deltas and a WAL still carrying the old epoch are recognized as
-    /// stale and discarded instead of replayed. A checkpoint that returns
-    /// an error never corrupts state — at worst the WAL keeps
-    /// accumulating.
-    pub fn checkpoint(&mut self) -> Result<()> {
-        checkpoint_full(
-            &self.dir,
-            &self.tables,
-            &self.reg,
-            &self.stats,
-            &self.indexes,
-            &mut self.epoch,
-            &mut self.marks,
-            &self.wal,
-            &self.io,
-        )?;
-        persist_workload_sidecar(&self.dir, &self.workload, &self.feedback);
-        Ok(())
-    }
-
-    /// Incremental checkpoint: folds the existing chain's pages in memory,
-    /// appends only the records created since the last checkpoint, and
-    /// writes the pages that dirtied into an epoch-stamped delta file
-    /// (temp → fsync → rename — the same crash-atomicity discipline as
-    /// the full path; the delta rename is the commit point). Falls back to
-    /// a full checkpoint when no base snapshot exists yet; a no-op when
-    /// nothing changed since the last checkpoint. Pages copied vs skipped
-    /// are counted in [`DurableDb::io_stats`].
-    pub fn checkpoint_incremental(&mut self) -> Result<()> {
-        checkpoint_incremental(
-            &self.dir,
-            &self.tables,
-            &self.reg,
-            &self.stats,
-            &self.indexes,
-            &mut self.epoch,
-            &mut self.marks,
-            &self.wal,
-            &self.io,
-        )?;
-        persist_workload_sidecar(&self.dir, &self.workload, &self.feedback);
-        Ok(())
-    }
-
-    /// The tables, for querying.
-    pub fn tables(&self) -> &HashMap<String, Relation> {
-        &self.tables
-    }
-
-    /// One table by name.
-    pub fn table(&self, name: &str) -> Result<&Relation> {
-        self.tables
-            .get(name)
-            .ok_or_else(|| EngineError::Operator(format!("unknown table '{name}'")))
-    }
-
-    /// The history registry, for running operators over the tables.
-    pub fn registry_mut(&mut self) -> &mut HistoryRegistry {
-        &mut self.reg
-    }
-
-    /// The history registry, read-only (e.g. for snapshotting alongside
-    /// [`DurableDb::tables`]).
-    pub fn registry(&self) -> &HistoryRegistry {
-        &self.reg
-    }
-
-    /// Checkpoint epoch of the current snapshot (0 before any checkpoint).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Fault injection: the `nth` next WAL record (0 = the very next one)
-    /// fails its commit with an injected I/O error.
-    #[cfg(feature = "failpoints")]
-    pub fn inject_wal_append_failure(&mut self, nth: u32) {
-        self.wal.fail_nth_record(nth);
-    }
-
-    /// Fault injection: the next WAL fsync fails with an injected I/O
-    /// error (commit ambiguity — the insert must roll back).
-    #[cfg(feature = "failpoints")]
-    pub fn inject_wal_sync_failure(&mut self) {
-        self.wal.fail_next_sync();
-    }
-
-    /// What recovery did when this handle was opened.
-    pub fn recovery(&self) -> &RecoveryReport {
-        &self.recovery
-    }
-
-    /// Current WAL length in bytes (0 right after a checkpoint).
-    pub fn wal_len(&self) -> u64 {
-        self.wal.len()
-    }
-
-    /// Group-commit counters (fsyncs, batches, fsyncs saved).
-    pub fn wal_stats(&self) -> Arc<WalStats> {
-        self.wal.stats()
-    }
-
-    /// Checkpoint I/O counters (`ckpt_pages_copied` / `_skipped`).
-    pub fn io_stats(&self) -> Arc<IoStats> {
-        Arc::clone(&self.io)
-    }
-
-    /// The per-statement workload repository (shared with SQL sessions; the
-    /// row source for `orion.statements` / `orion.slow_queries`).
-    pub fn workload(&self) -> Arc<WorkloadRepo> {
-        Arc::clone(&self.workload)
-    }
-
-    /// The planner cardinality-feedback store (the row source for
-    /// `orion.plan_feedback`).
-    pub fn plan_feedback(&self) -> Arc<PlanFeedbackStore> {
-        Arc::clone(&self.feedback)
-    }
-
-    /// Current group-commit tunables.
-    pub fn group_commit_config(&self) -> GroupCommitConfig {
-        self.wal.config()
-    }
-
-    /// Replaces the group-commit tunables (batching window, max batch
-    /// bytes, enable/disable).
-    pub fn set_group_commit_config(&mut self, cfg: GroupCommitConfig) {
-        self.wal.set_config(cfg);
-    }
-
-    /// Recovery + size stats as JSON, for the observability exporters.
-    pub fn stats_json(&self) -> String {
-        format!(
-            "{{\"recovery\":{},\"wal_len\":{},\"epoch\":{},\"tables\":{},\"bases\":{},\"wal\":{},\"io\":{}}}",
-            self.recovery.to_json(),
-            self.wal.len(),
-            self.epoch,
-            self.tables.len(),
-            self.reg.len(),
-            self.wal.stats().to_json().to_string_compact(),
-            self.io.snapshot().to_json().to_string_compact()
-        )
-    }
-
-    /// Verifies structural invariants; see [`check_invariants`].
-    pub fn check_invariants(&self) -> Result<()> {
-        check_invariants(&self.tables, &self.reg)
-    }
-
-    /// Dumps the flight recorder's recent-span ring into this database's
-    /// directory on demand (the same dump a panic or a halt-on-fault kill
-    /// produces). Returns the written path, or `None` when the recorder is
-    /// disabled.
-    pub fn dump_flight(&self, reason: &str) -> Option<PathBuf> {
-        if !orion_obs::recorder::enabled() {
-            return None;
-        }
-        orion_obs::recorder::dump_to_dir(&self.dir, reason).ok()
-    }
-
-    /// Converts this exclusive handle into a [`SharedDurableDb`] whose
-    /// `&self` methods let concurrent writers share group-commit fsyncs.
-    pub fn into_shared(self) -> SharedDurableDb {
-        SharedDurableDb {
-            inner: Arc::new(SharedInner {
-                core: Mutex::new(SharedCore {
-                    dir: self.dir,
-                    tables: self.tables,
-                    reg: self.reg,
-                    epoch: self.epoch,
-                    marks: self.marks,
-                    stats: self.stats,
-                    indexes: self.indexes,
-                    in_flight: 0,
-                    commit_seq: 0,
-                }),
-                drained: Condvar::new(),
-                wal: self.wal,
-                recovery: self.recovery,
-                io: self.io,
-                workload: self.workload,
-                feedback: self.feedback,
-                txns: Mutex::new(HashMap::new()),
-            }),
         }
     }
 }
@@ -800,168 +293,6 @@ fn ckpt_span(name: &'static str) -> orion_obs::Span {
     t.thread_lane("checkpoint").span(name, "checkpoint")
 }
 
-/// The full-checkpoint protocol shared by [`DurableDb::checkpoint`] and
-/// [`SharedDurableDb::checkpoint`]. See [`DurableDb::checkpoint`].
-#[allow(clippy::too_many_arguments)]
-fn checkpoint_full(
-    dir: &Path,
-    tables: &HashMap<String, Relation>,
-    reg: &HistoryRegistry,
-    stats: &StatsCatalog,
-    indexes: &IndexHandle,
-    epoch: &mut u64,
-    marks: &mut CkptMarks,
-    wal: &GroupWal,
-    io: &IoStats,
-) -> Result<()> {
-    let mut span = ckpt_span("checkpoint.full");
-    let new_epoch = *epoch + 1;
-    let snap = dir.join(SNAPSHOT_FILE);
-    let cat = indexes.lock();
-    persist::save_snapshot_full(&snap, tables, reg, stats, &cat, new_epoch)?;
-    // A full checkpoint copies every page of the new base; the counter
-    // mirrors the incremental path's copied/skipped accounting.
-    let pages = std::fs::metadata(&snap).map(|m| m.len().div_ceil(PAGE_SIZE as u64)).unwrap_or(0);
-    io.ckpt_pages_copied.add(pages);
-    if span.is_recording() {
-        span.arg("epoch", new_epoch);
-        span.arg("pages_copied", pages);
-    }
-    // The rename above is the commit point. Deltas subsumed by the new
-    // base are deleted afterwards; a crash in between leaves them behind
-    // with stale epochs, and recovery removes them.
-    DeltaFile::remove_all(dir)?;
-    *epoch = new_epoch;
-    *marks = CkptMarks::capture(tables, reg, stats, &cat);
-    drop(cat);
-    wal.reset()?;
-    set_epoch_stamp(wal, new_epoch)?;
-    Ok(())
-}
-
-/// The incremental-checkpoint protocol shared by
-/// [`DurableDb::checkpoint_incremental`] and
-/// [`SharedDurableDb::checkpoint_incremental`]. See the method docs.
-#[allow(clippy::too_many_arguments)]
-fn checkpoint_incremental(
-    dir: &Path,
-    tables: &HashMap<String, Relation>,
-    reg: &HistoryRegistry,
-    stats: &StatsCatalog,
-    indexes: &IndexHandle,
-    epoch: &mut u64,
-    marks: &mut CkptMarks,
-    wal: &GroupWal,
-    io: &IoStats,
-) -> Result<()> {
-    let snap = dir.join(SNAPSHOT_FILE);
-    if !snap.exists() {
-        // Nothing to increment on — the first checkpoint is always full.
-        return checkpoint_full(dir, tables, reg, stats, indexes, epoch, marks, wal, io);
-    }
-    if marks.mutated {
-        // A delete, update, or index drop ran since the last checkpoint:
-        // the chain's records are no longer a prefix of the current state,
-        // so the append-only diff below would be wrong. Rewrite the base.
-        return checkpoint_full(dir, tables, reg, stats, indexes, epoch, marks, wal, io);
-    }
-    let cat = indexes.lock();
-    let stats_changed = stats.encode() != marks.stats;
-    let indexes_changed = cat.encode() != marks.indexes;
-    let new_work = stats_changed
-        || indexes_changed
-        || reg.last_id() > marks.last_base
-        || tables
-            .iter()
-            .any(|(n, r)| marks.tables.get(n).is_none_or(|&count| r.tuples.len() > count));
-    if !new_work {
-        return Ok(());
-    }
-    let mut span = ckpt_span("checkpoint.incremental");
-    let new_epoch = *epoch + 1;
-    // Rebuild the chain's pages in memory, then append only the records
-    // the chain does not contain. The heap adopts the chain's tail page so
-    // appends fill its free space (that page is copied; untouched pages
-    // are skipped — the incremental win).
-    let (mem, _) = persist::fold_chain_pages(&snap, dir)?;
-    let mut heap = HeapFile::new(mem, 64);
-    heap.adopt_tail();
-    heap.pool().mark_checkpoint();
-    let mut buf = Vec::new();
-    persist::encode_epoch(new_epoch, &mut buf);
-    heap.insert(&buf)?;
-    let mut names: Vec<&String> = tables.keys().collect();
-    names.sort();
-    for name in &names {
-        if !marks.tables.contains_key(*name) {
-            buf.clear();
-            persist::encode_schema(&tables[*name], &mut buf);
-            heap.insert(&buf)?;
-        }
-    }
-    let mut bases: Vec<_> = reg.iter_bases().filter(|(id, _)| *id > marks.last_base).collect();
-    bases.sort_by_key(|(id, _)| *id);
-    for (id, base) in bases {
-        buf.clear();
-        persist::encode_base(id, base, &mut buf);
-        heap.insert(&buf)?;
-    }
-    for name in &names {
-        let from = marks.tables.get(*name).copied().unwrap_or(0);
-        for t in &tables[*name].tuples[from..] {
-            buf.clear();
-            persist::encode_tuple(name, t, &mut buf);
-            heap.insert(&buf)?;
-        }
-    }
-    if stats_changed {
-        // Stats replay overwrites per table, so re-emitting the whole
-        // catalog is idempotent; the delta's records decode after the
-        // chain's and win.
-        for ts in stats.iter() {
-            buf.clear();
-            persist::encode_stats(ts, &mut buf);
-            heap.insert(&buf)?;
-        }
-    }
-    if indexes_changed {
-        // Index replay installs-by-name, so re-emitting every definition
-        // is idempotent. Only creates reach this path — a drop sets the
-        // `mutated` mark and forces a full checkpoint, because an
-        // append-only delta cannot retract the chain's create record.
-        for def in cat.defs() {
-            buf.clear();
-            persist::encode_index_def(def, &mut buf);
-            heap.insert(&buf)?;
-        }
-    }
-    heap.pool().flush()?;
-    let dirty = heap.pool().dirty_pages_since_mark();
-    let total = heap.page_count() as u64;
-    let mut store = heap.into_store()?;
-    let mut pages = Vec::with_capacity(dirty.len());
-    for pid in dirty {
-        let mut page = orion_storage::Page::new();
-        store.read_page(pid, &mut page)?;
-        pages.push((pid, page));
-    }
-    io.ckpt_pages_copied.add(pages.len() as u64);
-    io.ckpt_pages_skipped.add(total.saturating_sub(pages.len() as u64));
-    if span.is_recording() {
-        span.arg("epoch", new_epoch);
-        span.arg("pages_copied", pages.len() as u64);
-        span.arg("pages_skipped", total.saturating_sub(pages.len() as u64));
-    }
-    // The delta rename is the commit point of this checkpoint.
-    DeltaFile { epoch: new_epoch, pages }.write_atomic(dir)?;
-    *epoch = new_epoch;
-    *marks = CkptMarks::capture(tables, reg, stats, &cat);
-    drop(cat);
-    wal.reset()?;
-    set_epoch_stamp(wal, new_epoch)?;
-    Ok(())
-}
-
 /// Mutable database state behind [`SharedDurableDb`]'s core lock.
 #[derive(Debug)]
 pub(crate) struct SharedCore {
@@ -980,6 +311,193 @@ pub(crate) struct SharedCore {
     /// Monotonic transaction-commit sequence: bumped once per committed
     /// transaction, under the core lock, so observers can order commits.
     pub(crate) commit_seq: u64,
+}
+
+impl SharedCore {
+    /// Full checkpoint: atomically writes a fresh base snapshot stamped
+    /// with the next epoch, deletes the delta chain it subsumes, then
+    /// empties the WAL (whose records the snapshot now contains).
+    /// Crash-atomic at every point: until the snapshot rename lands,
+    /// recovery uses the old chain + full WAL; once it lands, leftover
+    /// deltas and a WAL still carrying the old epoch are recognized as
+    /// stale and discarded instead of replayed. A checkpoint that returns
+    /// an error never corrupts state — at worst the WAL keeps
+    /// accumulating.
+    fn checkpoint_full(&mut self, wal: &GroupWal, io: &IoStats) -> Result<()> {
+        let mut span = ckpt_span("checkpoint.full");
+        let new_epoch = self.epoch + 1;
+        let snap = self.dir.join(SNAPSHOT_FILE);
+        let cat = self.indexes.lock();
+        persist::save_snapshot_full(&snap, &self.tables, &self.reg, &self.stats, &cat, new_epoch)?;
+        // A full checkpoint copies every page of the new base; the counter
+        // mirrors the incremental path's copied/skipped accounting.
+        let pages =
+            std::fs::metadata(&snap).map(|m| m.len().div_ceil(PAGE_SIZE as u64)).unwrap_or(0);
+        io.ckpt_pages_copied.add(pages);
+        if span.is_recording() {
+            span.arg("epoch", new_epoch);
+            span.arg("pages_copied", pages);
+        }
+        // The rename above is the commit point. Deltas subsumed by the new
+        // base are deleted afterwards; a crash in between leaves them behind
+        // with stale epochs, and recovery removes them.
+        DeltaFile::remove_all(&self.dir)?;
+        self.epoch = new_epoch;
+        self.marks = CkptMarks::capture(&self.tables, &self.reg, &self.stats, &cat);
+        drop(cat);
+        wal.reset()?;
+        set_epoch_stamp(wal, new_epoch)?;
+        Ok(())
+    }
+
+    /// Incremental checkpoint: folds the existing chain's pages in memory,
+    /// appends only the records created since the last checkpoint, and
+    /// writes the pages that dirtied into an epoch-stamped delta file
+    /// (temp → fsync → rename — the same crash-atomicity discipline as
+    /// the full path; the delta rename is the commit point). Falls back to
+    /// a full checkpoint when no base snapshot exists yet; a no-op when
+    /// nothing changed since the last checkpoint.
+    fn checkpoint_incremental(&mut self, wal: &GroupWal, io: &IoStats) -> Result<()> {
+        let snap = self.dir.join(SNAPSHOT_FILE);
+        if !snap.exists() {
+            // Nothing to increment on — the first checkpoint is always full.
+            return self.checkpoint_full(wal, io);
+        }
+        if self.marks.mutated {
+            // A delete, update, or index drop ran since the last checkpoint:
+            // the chain's records are no longer a prefix of the current state,
+            // so the append-only diff below would be wrong. Rewrite the base.
+            return self.checkpoint_full(wal, io);
+        }
+        let cat = self.indexes.lock();
+        let stats_changed = self.stats.encode() != self.marks.stats;
+        let indexes_changed = cat.encode() != self.marks.indexes;
+        let new_work = stats_changed
+            || indexes_changed
+            || self.reg.last_id() > self.marks.last_base
+            || self
+                .tables
+                .iter()
+                .any(|(n, r)| self.marks.tables.get(n).is_none_or(|&count| r.tuples.len() > count));
+        if !new_work {
+            return Ok(());
+        }
+        let mut span = ckpt_span("checkpoint.incremental");
+        let new_epoch = self.epoch + 1;
+        // Rebuild the chain's pages in memory, then append only the records
+        // the chain does not contain. The heap adopts the chain's tail page so
+        // appends fill its free space (that page is copied; untouched pages
+        // are skipped — the incremental win).
+        let (mem, _) = persist::fold_chain_pages(&snap, &self.dir)?;
+        let mut heap = HeapFile::new(mem, 64);
+        heap.adopt_tail();
+        heap.pool().mark_checkpoint();
+        let mut buf = Vec::new();
+        persist::encode_epoch(new_epoch, &mut buf);
+        persist::insert_record(&mut heap, &buf)?;
+        let mut names: Vec<&String> = self.tables.keys().collect();
+        names.sort();
+        for name in &names {
+            if !self.marks.tables.contains_key(*name) {
+                buf.clear();
+                persist::encode_schema(&self.tables[*name], &mut buf);
+                persist::insert_record(&mut heap, &buf)?;
+            }
+        }
+        let mut bases: Vec<_> =
+            self.reg.iter_bases().filter(|(id, _)| *id > self.marks.last_base).collect();
+        bases.sort_by_key(|(id, _)| *id);
+        for (id, base) in bases {
+            buf.clear();
+            persist::encode_base(id, base, &mut buf);
+            persist::insert_record(&mut heap, &buf)?;
+        }
+        for name in &names {
+            let from = self.marks.tables.get(*name).copied().unwrap_or(0);
+            for t in &self.tables[*name].tuples[from..] {
+                buf.clear();
+                persist::encode_tuple(name, t, &mut buf);
+                persist::insert_record(&mut heap, &buf)?;
+            }
+        }
+        if stats_changed {
+            // Stats replay overwrites per table, so re-emitting the whole
+            // catalog is idempotent; the delta's records decode after the
+            // chain's and win.
+            for ts in self.stats.iter() {
+                buf.clear();
+                persist::encode_stats(ts, &mut buf);
+                persist::insert_record(&mut heap, &buf)?;
+            }
+        }
+        if indexes_changed {
+            // Index replay installs-by-name, so re-emitting every definition
+            // is idempotent. Only creates reach this path — a drop sets the
+            // `mutated` mark and forces a full checkpoint, because an
+            // append-only delta cannot retract the chain's create record.
+            for def in cat.defs() {
+                buf.clear();
+                persist::encode_index_def(def, &mut buf);
+                persist::insert_record(&mut heap, &buf)?;
+            }
+        }
+        heap.pool().flush()?;
+        let dirty = heap.pool().dirty_pages_since_mark();
+        let total = heap.page_count() as u64;
+        let mut store = heap.into_store()?;
+        let mut pages = Vec::with_capacity(dirty.len());
+        for pid in dirty {
+            let mut page = orion_storage::Page::new();
+            store.read_page(pid, &mut page)?;
+            pages.push((pid, page));
+        }
+        io.ckpt_pages_copied.add(pages.len() as u64);
+        io.ckpt_pages_skipped.add(total.saturating_sub(pages.len() as u64));
+        if span.is_recording() {
+            span.arg("epoch", new_epoch);
+            span.arg("pages_copied", pages.len() as u64);
+            span.arg("pages_skipped", total.saturating_sub(pages.len() as u64));
+        }
+        // The delta rename is the commit point of this checkpoint.
+        DeltaFile { epoch: new_epoch, pages }.write_atomic(&self.dir)?;
+        self.epoch = new_epoch;
+        self.marks = CkptMarks::capture(&self.tables, &self.reg, &self.stats, &cat);
+        drop(cat);
+        wal.reset()?;
+        set_epoch_stamp(wal, new_epoch)?;
+        Ok(())
+    }
+
+    /// Undoes the in-memory effects of one insert: removes its
+    /// tuple **by identity** (re-encoding candidates and matching the exact
+    /// WAL bytes — concurrent inserts may have appended later tuples, so "pop
+    /// the last" would remove the wrong one), releases the references its
+    /// nodes took, and deletes the bases it registered (`before+1..=last`,
+    /// unique to this insert because id allocation is monotonic under the
+    /// core lock). `tuple_bytes: None` skips the tuple search (the mutation
+    /// failed before a tuple was encoded).
+    fn rollback_insert(&mut self, table: &str, before: PdfId, tuple_bytes: Option<&[u8]>) {
+        if let Some(rel) = self.tables.get_mut(table) {
+            let popped: Option<ProbTuple> = tuple_bytes.and_then(|bytes| {
+                rel.tuples
+                    .iter()
+                    .rposition(|t| {
+                        let mut buf = Vec::new();
+                        persist::encode_tuple(table, t, &mut buf);
+                        buf == bytes
+                    })
+                    .map(|i| rel.tuples.remove(i))
+            });
+            if let Some(t) = popped {
+                for n in &t.nodes {
+                    self.reg.release_refs(&n.ancestors);
+                }
+            }
+        }
+        for id in before + 1..=self.reg.last_id() {
+            self.reg.delete_base(id);
+        }
+    }
 }
 
 /// One live transaction's introspection row (the `orion.txns` table).
@@ -1009,45 +527,143 @@ pub(crate) struct SharedInner {
     pub(crate) txns: Mutex<HashMap<u64, (u64, Arc<std::sync::atomic::AtomicUsize>)>>,
 }
 
-/// A [`DurableDb`] behind `&self` methods, safe to share across threads
-/// (`Clone` + `Send` + `Sync`): the in-memory mutation happens under a
-/// core mutex, but the WAL commit happens **outside** it, so concurrent
-/// inserts pile into the [`GroupWal`]'s batch and share fsyncs — the
-/// whole point of group commit. Obtain one via [`DurableDb::into_shared`].
+/// The durable engine handle, safe to share across threads (`Clone` +
+/// `Send` + `Sync`): the in-memory mutation happens under a core mutex,
+/// but an insert's WAL commit happens **outside** it, so concurrent
+/// inserts pile into the [`GroupWal`]'s batch and share fsyncs — the whole
+/// point of group commit.
 #[derive(Debug, Clone)]
 pub struct SharedDurableDb {
     pub(crate) inner: Arc<SharedInner>,
 }
 
 impl SharedDurableDb {
-    /// Opens the database in `dir` directly in shared mode.
+    /// Opens (creating if absent) the database in `dir` with the given
+    /// group-commit tunables, running crash recovery: snapshot-chain fold,
+    /// torn-tail truncation, stale-WAL rejection, WAL replay.
     pub fn open(dir: &Path, cfg: GroupCommitConfig) -> Result<Self> {
-        Ok(DurableDb::open_with(dir, cfg)?.into_shared())
-    }
-
-    /// Converts back into an exclusive [`DurableDb`] handle. Fails if
-    /// other clones of this handle are still alive.
-    pub fn into_db(self) -> std::result::Result<DurableDb, SharedDurableDb> {
-        match Arc::try_unwrap(self.inner) {
-            Ok(inner) => {
-                let core = inner.core.into_inner();
-                Ok(DurableDb {
-                    dir: core.dir,
-                    tables: core.tables,
-                    reg: core.reg,
-                    wal: inner.wal,
-                    epoch: core.epoch,
-                    marks: core.marks,
-                    recovery: inner.recovery,
-                    stats: core.stats,
-                    indexes: core.indexes,
-                    io: inner.io,
-                    workload: inner.workload,
-                    feedback: inner.feedback,
-                })
+        std::fs::create_dir_all(dir)?;
+        // Crash observability: flight-recorder dumps land next to the data
+        // they describe, and a panic anywhere in the process leaves one
+        // (both no-ops unless the recorder is enabled via ORION_TRACE=1 or
+        // recorder::set_enabled).
+        orion_obs::recorder::set_dump_dir(dir);
+        orion_obs::recorder::install_panic_hook();
+        let snap = dir.join(SNAPSHOT_FILE);
+        let mut state = LoadState::default();
+        let chain = persist::load_chain(&snap, dir, &mut state)?;
+        let snap_epoch = state.wal_epoch;
+        // Everything loaded so far lives in the persistent chain: that is
+        // what the next incremental checkpoint starts from. WAL records
+        // replayed below are new relative to it.
+        let marks = CkptMarks::capture(&state.tables, &state.reg, &state.stats, &state.indexes);
+        let (mut wal, replay) = Wal::open(&dir.join(WAL_FILE))?;
+        let wal_epoch = replay.records.first().and_then(|r| persist::record_epoch(r)).unwrap_or(0);
+        let mut replayed = 0u64;
+        let mut stale_discarded = 0u64;
+        let mut incomplete_discarded = 0u64;
+        if wal_epoch < snap_epoch {
+            // The WAL predates the snapshot: a crash hit the window between
+            // a checkpoint's commit point (snapshot rename / delta rename)
+            // and its WAL reset. Every record here is already folded into
+            // the chain — replaying would duplicate tuples and
+            // double-count refcounts.
+            stale_discarded = replay.records.len() as u64;
+            if stale_discarded > 0 {
+                wal.reset()?;
             }
-            Err(inner) => Err(SharedDurableDb { inner }),
+        } else {
+            // Transaction framing: records between a begin marker and its
+            // commit marker are buffered and applied only when the commit
+            // is seen — all-or-nothing. An abort marker, or a begin whose
+            // commit never reached stable storage (crash mid-transaction),
+            // discards the buffered records wholesale.
+            let mut txn_buf: Option<(u64, Vec<&[u8]>)> = None;
+            for rec in &replay.records {
+                if let Some(marker) = persist::txn_marker(rec) {
+                    match (marker, &mut txn_buf) {
+                        (persist::TxnMarker::Begin(id), None) => txn_buf = Some((id, Vec::new())),
+                        (persist::TxnMarker::Begin(_), Some(_)) => {
+                            return Err(EngineError::Corrupt(
+                                "nested transaction begin in WAL".into(),
+                            ))
+                        }
+                        (persist::TxnMarker::Commit(id), Some((txid, buffered))) if id == *txid => {
+                            for r in buffered.drain(..) {
+                                persist::apply_record(r, &mut state)?;
+                                replayed += 1;
+                            }
+                            txn_buf = None;
+                        }
+                        (persist::TxnMarker::Abort(id), Some((txid, buffered))) if id == *txid => {
+                            incomplete_discarded += buffered.len() as u64;
+                            txn_buf = None;
+                        }
+                        (m, _) => {
+                            return Err(EngineError::Corrupt(format!(
+                                "transaction marker {m:?} without matching begin"
+                            )))
+                        }
+                    }
+                    continue;
+                }
+                match &mut txn_buf {
+                    Some((_, buffered)) => buffered.push(rec),
+                    None => {
+                        persist::apply_record(rec, &mut state)?;
+                        if persist::record_epoch(rec).is_none() {
+                            replayed += 1;
+                        }
+                    }
+                }
+            }
+            if let Some((_, buffered)) = txn_buf {
+                // Crash after the begin but before the commit made it to
+                // stable storage: the transaction never committed.
+                incomplete_discarded += buffered.len() as u64;
+            }
         }
+        let recovery = RecoveryReport {
+            snapshot_loaded: chain.snapshot_loaded,
+            wal_records_replayed: replayed,
+            wal_bytes_truncated: replay.truncated_bytes,
+            stale_wal_records_discarded: stale_discarded,
+            deltas_folded: chain.deltas_folded,
+            stale_deltas_removed: chain.stale_deltas_removed,
+            incomplete_txn_records_discarded: incomplete_discarded,
+        };
+        let epoch = state.wal_epoch.max(snap_epoch);
+        let stats = state.take_stats();
+        let indexes = IndexHandle::from_catalog(state.take_indexes());
+        let (tables, reg) = state.finish();
+        let wal = GroupWal::new(wal, cfg);
+        set_epoch_stamp(&wal, epoch)?;
+        let workload = Arc::new(WorkloadRepo::from_env());
+        let feedback = Arc::new(PlanFeedbackStore::new());
+        load_workload_sidecar(dir, &workload, &feedback);
+        let core = SharedCore {
+            dir: dir.to_path_buf(),
+            tables,
+            reg,
+            epoch,
+            marks,
+            stats,
+            indexes,
+            in_flight: 0,
+            commit_seq: 0,
+        };
+        Ok(SharedDurableDb {
+            inner: Arc::new(SharedInner {
+                core: Mutex::new(core),
+                drained: Condvar::new(),
+                wal,
+                recovery,
+                io: Arc::new(IoStats::default()),
+                workload,
+                feedback,
+                txns: Mutex::new(HashMap::new()),
+            }),
+        })
     }
 
     /// Creates a table and durably logs its schema. The core lock is held
@@ -1066,10 +682,14 @@ impl SharedDurableDb {
         Ok(())
     }
 
-    /// Collects and durably logs statistics for `table` (see
-    /// [`DurableDb::analyze_table`]). The core lock is held across the
-    /// commit so the logged record matches the table state it summarizes.
-    pub fn analyze_table(&self, table: &str) -> Result<()> {
+    /// Collects per-column statistics for `table` (see
+    /// [`crate::stats_catalog::analyze_relation`]), durably logs them, and
+    /// returns what was logged. Replay is an overwrite per table, so
+    /// re-analyzing supersedes the old record. The core lock is held
+    /// across the commit so the logged record matches the table state it
+    /// summarizes. On a failed commit nothing is applied — the catalog
+    /// keeps its previous entry (or none).
+    pub fn analyze_table(&self, table: &str) -> Result<TableStats> {
         let mut core = self.inner.core.lock();
         let rel = core
             .tables
@@ -1079,14 +699,22 @@ impl SharedDurableDb {
         let mut buf = Vec::new();
         persist::encode_stats(&ts, &mut buf);
         self.inner.wal.commit(&[buf])?;
-        core.stats.insert(ts);
-        Ok(())
+        core.stats.insert(ts.clone());
+        Ok(ts)
     }
 
-    /// Creates a secondary index and durably logs its definition (see
-    /// [`DurableDb::create_index`]). The core lock is held across the
-    /// commit so the definition matches the schema it was validated
-    /// against.
+    /// A copy of the statistics catalog (empty until
+    /// [`SharedDurableDb::analyze_table`]).
+    pub fn stats_catalog(&self) -> StatsCatalog {
+        self.inner.core.lock().stats.clone()
+    }
+
+    /// Creates a secondary index and durably logs its definition. `kind`
+    /// defaults by column certainty (`cdf` for uncertain, `evx` for
+    /// certain). Only the definition is persisted — the tree is rebuilt
+    /// lazily on first use. The core lock is held across the commit so the
+    /// definition matches the schema it was validated against; on a failed
+    /// commit nothing is applied.
     pub fn create_index(
         &self,
         name: &str,
@@ -1103,8 +731,8 @@ impl SharedDurableDb {
         created
     }
 
-    /// Drops a secondary index and durably logs the drop (see
-    /// [`DurableDb::drop_index`]).
+    /// Drops a secondary index and durably logs the drop. On a failed
+    /// commit nothing is applied.
     pub fn drop_index(&self, name: &str) -> Result<()> {
         let mut core = self.inner.core.lock();
         if core.indexes.lock().get(name).is_none() {
@@ -1119,7 +747,8 @@ impl SharedDurableDb {
         Ok(())
     }
 
-    /// The shared index catalog handle (see [`DurableDb::indexes`]).
+    /// The shared index catalog handle (seed it into
+    /// [`crate::select::ExecOptions::indexes`] so the planner sees it).
     pub fn indexes(&self) -> IndexHandle {
         self.inner.core.lock().indexes.clone()
     }
@@ -1167,7 +796,7 @@ impl SharedDurableDb {
             let payloads = match encode_insert_payloads(&core.tables, &core.reg, table, before) {
                 Ok(p) => p,
                 Err(e) => {
-                    rollback_insert(core, table, before, None);
+                    core.rollback_insert(table, before, None);
                     return Err(e);
                 }
             };
@@ -1182,7 +811,7 @@ impl SharedDurableDb {
         let mut core = self.inner.core.lock();
         if committed.is_err() {
             let tuple_bytes = payloads.last().expect("insert unit has a tuple record");
-            rollback_insert(&mut core, table, before, Some(tuple_bytes));
+            core.rollback_insert(table, before, Some(tuple_bytes));
         } else {
             core.indexes.lock().note_mutation(table);
         }
@@ -1204,44 +833,22 @@ impl SharedDurableDb {
         f(&core.tables, &core.reg)
     }
 
-    /// Full checkpoint (see [`DurableDb::checkpoint`]). Waits for every
-    /// in-flight insert to resolve first, so the snapshot never captures a
-    /// tuple whose commit could still fail and roll back.
+    /// Full checkpoint (see `SharedCore::checkpoint_full`). Waits for
+    /// every in-flight insert to resolve first, so the snapshot never
+    /// captures a tuple whose commit could still fail and roll back.
     pub fn checkpoint(&self) -> Result<()> {
         let mut core = self.lock_drained();
-        let core = &mut *core;
-        checkpoint_full(
-            &core.dir,
-            &core.tables,
-            &core.reg,
-            &core.stats,
-            &core.indexes,
-            &mut core.epoch,
-            &mut core.marks,
-            &self.inner.wal,
-            &self.inner.io,
-        )?;
+        core.checkpoint_full(&self.inner.wal, &self.inner.io)?;
         persist_workload_sidecar(&core.dir, &self.inner.workload, &self.inner.feedback);
         Ok(())
     }
 
-    /// Incremental checkpoint (see
-    /// [`DurableDb::checkpoint_incremental`]), after draining in-flight
-    /// inserts.
+    /// Incremental checkpoint (see `SharedCore::checkpoint_incremental`),
+    /// after draining in-flight inserts. Pages copied vs skipped are
+    /// counted in [`SharedDurableDb::io_stats`].
     pub fn checkpoint_incremental(&self) -> Result<()> {
         let mut core = self.lock_drained();
-        let core = &mut *core;
-        checkpoint_incremental(
-            &core.dir,
-            &core.tables,
-            &core.reg,
-            &core.stats,
-            &core.indexes,
-            &mut core.epoch,
-            &mut core.marks,
-            &self.inner.wal,
-            &self.inner.io,
-        )?;
+        core.checkpoint_incremental(&self.inner.wal, &self.inner.io)?;
         persist_workload_sidecar(&core.dir, &self.inner.workload, &self.inner.feedback);
         Ok(())
     }
@@ -1288,18 +895,19 @@ impl SharedDurableDb {
         self.inner.wal.stats()
     }
 
-    /// Checkpoint I/O counters.
+    /// Checkpoint I/O counters (`ckpt_pages_copied` / `_skipped`).
     pub fn io_stats(&self) -> Arc<IoStats> {
         Arc::clone(&self.inner.io)
     }
 
-    /// The per-statement workload repository (see [`DurableDb::workload`]).
+    /// The per-statement workload repository (shared with SQL sessions; the
+    /// row source for `orion.statements` / `orion.slow_queries`).
     pub fn workload(&self) -> Arc<WorkloadRepo> {
         Arc::clone(&self.inner.workload)
     }
 
-    /// The planner cardinality-feedback store (see
-    /// [`DurableDb::plan_feedback`]).
+    /// The planner cardinality-feedback store (the row source for
+    /// `orion.plan_feedback`).
     pub fn plan_feedback(&self) -> Arc<PlanFeedbackStore> {
         Arc::clone(&self.inner.feedback)
     }
@@ -1309,7 +917,8 @@ impl SharedDurableDb {
         self.inner.wal.config()
     }
 
-    /// Replaces the group-commit tunables.
+    /// Replaces the group-commit tunables (batching window, max batch
+    /// bytes, enable/disable).
     pub fn set_group_commit_config(&self, cfg: GroupCommitConfig) {
         self.inner.wal.set_config(cfg);
     }
@@ -1330,6 +939,33 @@ impl SharedDurableDb {
         check_invariants(&core.tables, &core.reg)
     }
 
+    /// Recovery + size stats as JSON, for the observability exporters.
+    pub fn stats_json(&self) -> String {
+        let core = self.inner.core.lock();
+        format!(
+            "{{\"recovery\":{},\"wal_len\":{},\"epoch\":{},\"tables\":{},\"bases\":{},\"wal\":{},\"io\":{}}}",
+            self.inner.recovery.to_json(),
+            self.inner.wal.len(),
+            core.epoch,
+            core.tables.len(),
+            core.reg.len(),
+            self.inner.wal.stats().to_json().to_string_compact(),
+            self.inner.io.snapshot().to_json().to_string_compact()
+        )
+    }
+
+    /// Dumps the flight recorder's recent-span ring into this database's
+    /// directory on demand (the same dump a panic or a halt-on-fault kill
+    /// produces). Returns the written path, or `None` when the recorder is
+    /// disabled.
+    pub fn dump_flight(&self, reason: &str) -> Option<PathBuf> {
+        if !orion_obs::recorder::enabled() {
+            return None;
+        }
+        let dir = self.inner.core.lock().dir.clone();
+        orion_obs::recorder::dump_to_dir(&dir, reason).ok()
+    }
+
     /// Fault injection: the `nth` next WAL record fails its commit.
     #[cfg(feature = "failpoints")]
     pub fn inject_wal_append_failure(&self, nth: u32) {
@@ -1341,37 +977,6 @@ impl SharedDurableDb {
     #[cfg(feature = "failpoints")]
     pub fn inject_wal_sync_failure(&self) {
         self.inner.wal.fail_next_sync();
-    }
-}
-
-/// Undoes the in-memory effects of one shared-mode insert: removes its
-/// tuple **by identity** (re-encoding candidates and matching the exact
-/// WAL bytes — concurrent inserts may have appended later tuples, so "pop
-/// the last" would remove the wrong one), releases the references its
-/// nodes took, and deletes the bases it registered (`before+1..=last`,
-/// unique to this insert because id allocation is monotonic under the
-/// core lock). `tuple_bytes: None` skips the tuple search (the mutation
-/// failed before a tuple was encoded).
-fn rollback_insert(core: &mut SharedCore, table: &str, before: PdfId, tuple_bytes: Option<&[u8]>) {
-    if let Some(rel) = core.tables.get_mut(table) {
-        let popped: Option<ProbTuple> = tuple_bytes.and_then(|bytes| {
-            rel.tuples
-                .iter()
-                .rposition(|t| {
-                    let mut buf = Vec::new();
-                    persist::encode_tuple(table, t, &mut buf);
-                    buf == bytes
-                })
-                .map(|i| rel.tuples.remove(i))
-        });
-        if let Some(t) = popped {
-            for n in &t.nodes {
-                core.reg.release_refs(&n.ancestors);
-            }
-        }
-    }
-    for id in before + 1..=core.reg.last_id() {
-        core.reg.delete_base(id);
     }
 }
 
@@ -1431,7 +1036,7 @@ mod tests {
             .unwrap()
     }
 
-    fn insert_n(db: &mut DurableDb, from: i64, n: i64) {
+    fn insert_n(db: &SharedDurableDb, from: i64, n: i64) {
         for i in from..from + n {
             db.insert_simple(
                 "readings",
@@ -1447,9 +1052,9 @@ mod tests {
         use orion_obs::workload::{ExecSample, WorkloadConfig};
         let dir = temp_dir("workload_sidecar");
         {
-            let mut db = DurableDb::open(&dir).unwrap();
+            let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
             db.create_table("readings", schema()).unwrap();
-            insert_n(&mut db, 0, 2);
+            insert_n(&db, 0, 2);
             let repo = db.workload();
             repo.set_config(WorkloadConfig { persist: true, ..WorkloadConfig::default() });
             repo.record(&ExecSample {
@@ -1463,7 +1068,7 @@ mod tests {
             db.checkpoint().unwrap();
             assert!(dir.join(WORKLOAD_FILE).exists());
         }
-        let db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         let stats = db.workload().statements();
         assert_eq!(stats.len(), 1);
         assert_eq!((stats[0].fingerprint, stats[0].calls), (0x42, 1));
@@ -1476,7 +1081,7 @@ mod tests {
     #[test]
     fn workload_sidecar_not_written_without_persist_knob() {
         let dir = temp_dir("workload_sidecar_off");
-        let mut db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         db.create_table("readings", schema()).unwrap();
         db.checkpoint().unwrap();
         assert!(!dir.join(WORKLOAD_FILE).exists());
@@ -1487,14 +1092,14 @@ mod tests {
     fn inserts_survive_reopen_without_checkpoint() {
         let dir = temp_dir("wal_only");
         {
-            let mut db = DurableDb::open(&dir).unwrap();
+            let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
             db.create_table("readings", schema()).unwrap();
-            insert_n(&mut db, 0, 3);
+            insert_n(&db, 0, 3);
             assert!(db.wal_len() > 0);
         }
-        let db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         assert!(!db.recovery().snapshot_loaded);
-        assert_eq!(db.table("readings").unwrap().len(), 3);
+        assert_eq!(db.with_tables(|t, _| t["readings"].len()), 3);
         db.check_invariants().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1503,17 +1108,17 @@ mod tests {
     fn checkpoint_truncates_wal_and_reopens_from_snapshot() {
         let dir = temp_dir("checkpoint");
         {
-            let mut db = DurableDb::open(&dir).unwrap();
+            let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
             db.create_table("readings", schema()).unwrap();
-            insert_n(&mut db, 0, 2);
+            insert_n(&db, 0, 2);
             db.checkpoint().unwrap();
             assert_eq!(db.wal_len(), 0);
-            insert_n(&mut db, 2, 1);
+            insert_n(&db, 2, 1);
         }
-        let db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         assert!(db.recovery().snapshot_loaded);
         assert_eq!(db.recovery().wal_records_replayed, 2, "one base + one tuple after ckpt");
-        assert_eq!(db.table("readings").unwrap().len(), 3);
+        assert_eq!(db.with_tables(|t, _| t["readings"].len()), 3);
         db.check_invariants().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1526,31 +1131,27 @@ mod tests {
         // doing so would duplicate every tuple and double-count refcounts.
         let dir = temp_dir("ckpt_window");
         {
-            let mut db = DurableDb::open(&dir).unwrap();
+            let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
             db.create_table("readings", schema()).unwrap();
-            insert_n(&mut db, 0, 3);
+            insert_n(&db, 0, 3);
             // First half of checkpoint(): snapshot written and renamed,
             // stamped with the next epoch. Then "crash" before wal.reset().
-            persist::save_snapshot(
-                &dir.join(SNAPSHOT_FILE),
-                db.tables(),
-                db.registry(),
-                db.epoch() + 1,
-            )
-            .unwrap();
+            let epoch = db.epoch() + 1;
+            db.with_tables(|t, r| persist::save_snapshot(&dir.join(SNAPSHOT_FILE), t, r, epoch))
+                .unwrap();
         }
-        let db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         assert!(db.recovery().snapshot_loaded);
         assert_eq!(db.recovery().wal_records_replayed, 0);
         assert!(db.recovery().stale_wal_records_discarded > 0, "stale WAL detected");
-        assert_eq!(db.table("readings").unwrap().len(), 3, "no duplicated tuples");
+        assert_eq!(db.with_tables(|t, _| t["readings"].len()), 3, "no duplicated tuples");
         db.check_invariants().unwrap();
         assert_eq!(db.wal_len(), 0, "stale WAL emptied");
         // Second open finds nothing stale left.
         drop(db);
-        let db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         assert_eq!(db.recovery().stale_wal_records_discarded, 0);
-        assert_eq!(db.table("readings").unwrap().len(), 3);
+        assert_eq!(db.with_tables(|t, _| t["readings"].len()), 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1558,21 +1159,21 @@ mod tests {
     fn epoch_is_monotonic_across_checkpoints_and_reopens() {
         let dir = temp_dir("epochs");
         {
-            let mut db = DurableDb::open(&dir).unwrap();
+            let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
             assert_eq!(db.epoch(), 0);
             db.create_table("readings", schema()).unwrap();
-            insert_n(&mut db, 0, 1);
+            insert_n(&db, 0, 1);
             db.checkpoint().unwrap();
             assert_eq!(db.epoch(), 1);
-            insert_n(&mut db, 1, 1);
+            insert_n(&db, 1, 1);
             db.checkpoint().unwrap();
             assert_eq!(db.epoch(), 2);
-            insert_n(&mut db, 2, 1);
+            insert_n(&db, 2, 1);
         }
-        let mut db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         assert_eq!(db.epoch(), 2, "epoch survives reopen");
         assert_eq!(db.recovery().wal_records_replayed, 2, "post-checkpoint base + tuple");
-        assert_eq!(db.table("readings").unwrap().len(), 3);
+        assert_eq!(db.with_tables(|t, _| t["readings"].len()), 3);
         db.check_invariants().unwrap();
         db.checkpoint().unwrap();
         assert_eq!(db.epoch(), 3);
@@ -1583,32 +1184,32 @@ mod tests {
     fn torn_wal_tail_loses_only_the_uncommitted_insert() {
         let dir = temp_dir("torn");
         {
-            let mut db = DurableDb::open(&dir).unwrap();
+            let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
             db.create_table("readings", schema()).unwrap();
-            insert_n(&mut db, 0, 2);
+            insert_n(&db, 0, 2);
         }
         // Simulate a crash mid-append: chop bytes off the WAL tail.
         let wal_path = dir.join(WAL_FILE);
         let bytes = std::fs::read(&wal_path).unwrap();
         std::fs::write(&wal_path, &bytes[..bytes.len() - 5]).unwrap();
-        let db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         assert!(db.recovery().wal_bytes_truncated > 0);
-        assert_eq!(db.table("readings").unwrap().len(), 1, "torn insert rolled back");
+        assert_eq!(db.with_tables(|t, _| t["readings"].len()), 1, "torn insert rolled back");
         db.check_invariants().unwrap();
         // Second open is idempotent: nothing further to truncate.
         drop(db);
-        let db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         assert_eq!(db.recovery().wal_bytes_truncated, 0);
-        assert_eq!(db.table("readings").unwrap().len(), 1);
+        assert_eq!(db.with_tables(|t, _| t["readings"].len()), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn stats_json_is_grepable() {
         let dir = temp_dir("stats");
-        let mut db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         db.create_table("readings", schema()).unwrap();
-        insert_n(&mut db, 0, 1);
+        insert_n(&db, 0, 1);
         let s = db.stats_json();
         assert!(s.contains("\"wal_records_replayed\":0"));
         assert!(s.contains("\"snapshot_loaded\":false"));
@@ -1620,28 +1221,28 @@ mod tests {
     fn incremental_checkpoint_folds_deltas_on_recovery() {
         let dir = temp_dir("incr_fold");
         {
-            let mut db = DurableDb::open(&dir).unwrap();
+            let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
             db.create_table("readings", schema()).unwrap();
-            insert_n(&mut db, 0, 2);
+            insert_n(&db, 0, 2);
             // First incremental falls back to full (no base yet).
             db.checkpoint_incremental().unwrap();
             assert_eq!(db.epoch(), 1);
             assert!(DeltaFile::list(&dir).unwrap().is_empty(), "first ckpt is full");
-            insert_n(&mut db, 2, 2);
+            insert_n(&db, 2, 2);
             db.checkpoint_incremental().unwrap();
             assert_eq!(db.epoch(), 2);
             assert_eq!(db.wal_len(), 0, "incremental ckpt resets the WAL");
-            insert_n(&mut db, 4, 1);
+            insert_n(&db, 4, 1);
             db.checkpoint_incremental().unwrap();
             assert_eq!(DeltaFile::list(&dir).unwrap().len(), 2, "one delta per incremental");
             let io = db.io_stats().snapshot();
             assert!(io.ckpt_pages_copied > 0);
-            insert_n(&mut db, 5, 1); // tail insert riding only the WAL
+            insert_n(&db, 5, 1); // tail insert riding only the WAL
         }
-        let db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         assert_eq!(db.recovery().deltas_folded, 2);
         assert_eq!(db.recovery().wal_records_replayed, 2, "base + tuple after last ckpt");
-        assert_eq!(db.table("readings").unwrap().len(), 6);
+        assert_eq!(db.with_tables(|t, _| t["readings"].len()), 6);
         db.check_invariants().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1649,12 +1250,12 @@ mod tests {
     #[test]
     fn incremental_checkpoint_skips_clean_pages() {
         let dir = temp_dir("incr_skip");
-        let mut db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         db.create_table("readings", schema()).unwrap();
         // Enough tuples to span several pages.
-        insert_n(&mut db, 0, 400);
+        insert_n(&db, 0, 400);
         db.checkpoint().unwrap();
-        insert_n(&mut db, 400, 1);
+        insert_n(&db, 400, 1);
         db.checkpoint_incremental().unwrap();
         let io = db.io_stats().snapshot();
         assert!(
@@ -1673,9 +1274,9 @@ mod tests {
     #[test]
     fn incremental_checkpoint_is_noop_without_new_work() {
         let dir = temp_dir("incr_noop");
-        let mut db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         db.create_table("readings", schema()).unwrap();
-        insert_n(&mut db, 0, 1);
+        insert_n(&db, 0, 1);
         db.checkpoint().unwrap();
         let epoch = db.epoch();
         db.checkpoint_incremental().unwrap();
@@ -1688,19 +1289,19 @@ mod tests {
     fn full_checkpoint_subsumes_delta_chain() {
         let dir = temp_dir("full_subsumes");
         {
-            let mut db = DurableDb::open(&dir).unwrap();
+            let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
             db.create_table("readings", schema()).unwrap();
-            insert_n(&mut db, 0, 1);
+            insert_n(&db, 0, 1);
             db.checkpoint().unwrap();
-            insert_n(&mut db, 1, 1);
+            insert_n(&db, 1, 1);
             db.checkpoint_incremental().unwrap();
-            insert_n(&mut db, 2, 1);
+            insert_n(&db, 2, 1);
             db.checkpoint().unwrap();
             assert!(DeltaFile::list(&dir).unwrap().is_empty(), "full ckpt removes deltas");
         }
-        let db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         assert_eq!(db.recovery().deltas_folded, 0);
-        assert_eq!(db.table("readings").unwrap().len(), 3);
+        assert_eq!(db.with_tables(|t, _| t["readings"].len()), 3);
         db.check_invariants().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1709,19 +1310,19 @@ mod tests {
     fn new_table_after_checkpoint_lands_in_next_delta() {
         let dir = temp_dir("incr_new_table");
         {
-            let mut db = DurableDb::open(&dir).unwrap();
+            let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
             db.create_table("readings", schema()).unwrap();
-            insert_n(&mut db, 0, 1);
+            insert_n(&db, 0, 1);
             db.checkpoint().unwrap();
             db.create_table("extra", schema()).unwrap();
             db.insert_simple("extra", &[("id", Value::Int(9))], &[("v", Pdf1::certain(9.0))])
                 .unwrap();
             db.checkpoint_incremental().unwrap();
         }
-        let db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         assert_eq!(db.recovery().deltas_folded, 1);
-        assert_eq!(db.table("extra").unwrap().len(), 1);
-        assert_eq!(db.table("readings").unwrap().len(), 1);
+        assert_eq!(db.with_tables(|t, _| t["extra"].len()), 1);
+        assert_eq!(db.with_tables(|t, _| t["readings"].len()), 1);
         db.check_invariants().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1729,8 +1330,7 @@ mod tests {
     #[test]
     fn shared_handle_round_trips_concurrent_inserts() {
         let dir = temp_dir("shared");
-        let db = DurableDb::open(&dir).unwrap();
-        let shared = db.into_shared();
+        let shared = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         shared.create_table("readings", schema()).unwrap();
         let threads: Vec<_> = (0..4)
             .map(|t| {
@@ -1752,11 +1352,10 @@ mod tests {
         }
         shared.check_invariants().unwrap();
         shared.checkpoint_incremental().unwrap();
-        let db = shared.into_db().expect("sole handle");
-        assert_eq!(db.table("readings").unwrap().len(), 40);
-        drop(db);
-        let db = DurableDb::open(&dir).unwrap();
-        assert_eq!(db.table("readings").unwrap().len(), 40);
+        assert_eq!(shared.with_tables(|t, _| t["readings"].len()), 40);
+        drop(shared);
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
+        assert_eq!(db.with_tables(|t, _| t["readings"].len()), 40);
         db.check_invariants().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1766,14 +1365,14 @@ mod tests {
         let dir = temp_dir("stats_wal");
         let before;
         {
-            let mut db = DurableDb::open(&dir).unwrap();
+            let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
             db.create_table("readings", schema()).unwrap();
-            insert_n(&mut db, 0, 5);
+            insert_n(&db, 0, 5);
             db.analyze_table("readings").unwrap();
             before = db.stats_catalog().encode();
             assert!(!before.is_empty());
         }
-        let db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         assert_eq!(db.stats_catalog().encode(), before, "stats replayed bitwise-identically");
         assert_eq!(db.stats_catalog().get("readings").unwrap().rows, 5);
         std::fs::remove_dir_all(&dir).ok();
@@ -1784,20 +1383,20 @@ mod tests {
         let dir = temp_dir("stats_ckpt");
         let before;
         {
-            let mut db = DurableDb::open(&dir).unwrap();
+            let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
             db.create_table("readings", schema()).unwrap();
-            insert_n(&mut db, 0, 3);
+            insert_n(&db, 0, 3);
             db.analyze_table("readings").unwrap();
             db.checkpoint().unwrap();
             assert_eq!(db.wal_len(), 0);
             // Re-analyze after more inserts; the new record rides a delta.
-            insert_n(&mut db, 3, 2);
+            insert_n(&db, 3, 2);
             db.analyze_table("readings").unwrap();
             db.checkpoint_incremental().unwrap();
             assert_eq!(db.wal_len(), 0);
             before = db.stats_catalog().encode();
         }
-        let db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         assert_eq!(db.recovery().wal_records_replayed, 0, "stats live in the chain");
         assert_eq!(db.stats_catalog().encode(), before);
         assert_eq!(db.stats_catalog().get("readings").unwrap().rows, 5, "delta overwrote base");
@@ -1805,11 +1404,46 @@ mod tests {
     }
 
     #[test]
+    fn stats_larger_than_a_page_survive_full_and_incremental_checkpoints() {
+        // 2000 uncertain rows give a stats record (cdf sketch included)
+        // several pages long; both checkpoint writers must chunk it.
+        let dir = temp_dir("stats_big");
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
+        db.create_table("readings", schema()).unwrap();
+        let bulk = |from: i64, n: i64| {
+            let mut txn = crate::txn::Txn::begin(&db);
+            for i in from..from + n {
+                let v = Pdf1::gaussian((i % 97) as f64, 1.0 + (i % 5) as f64).unwrap();
+                txn.insert_simple("readings", &[("id", Value::Int(i))], &[("v", v)]).unwrap();
+            }
+            txn.commit().unwrap();
+        };
+        bulk(0, 2000);
+        db.analyze_table("readings").unwrap();
+        let mut rec = Vec::new();
+        persist::encode_stats(db.stats_catalog().get("readings").unwrap(), &mut rec);
+        assert!(rec.len() > orion_storage::MAX_RECORD, "stats record fits a page");
+        db.checkpoint().unwrap();
+        assert_eq!(db.wal_len(), 0);
+        bulk(2000, 10);
+        db.analyze_table("readings").unwrap();
+        db.checkpoint_incremental().unwrap();
+        assert_eq!(DeltaFile::list(&dir).unwrap().len(), 1, "stats rode a delta");
+        let before = db.stats_catalog().encode();
+        drop(db);
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
+        assert_eq!(db.recovery().wal_records_replayed, 0, "stats live in the chain");
+        assert_eq!(db.stats_catalog().encode(), before, "bitwise-identical stats");
+        assert_eq!(db.stats_catalog().get("readings").unwrap().rows, 2010);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn reanalyze_alone_counts_as_checkpoint_work() {
         let dir = temp_dir("stats_new_work");
-        let mut db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         db.create_table("readings", schema()).unwrap();
-        insert_n(&mut db, 0, 2);
+        insert_n(&db, 0, 2);
         db.checkpoint().unwrap();
         let epoch = db.epoch();
         // No data change → no-op.
@@ -1822,7 +1456,7 @@ mod tests {
         assert_eq!(db.epoch(), epoch + 1, "stats change bumps the chain");
         let before = db.stats_catalog().encode();
         drop(db);
-        let db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         assert_eq!(db.recovery().wal_records_replayed, 0);
         assert_eq!(db.stats_catalog().encode(), before);
         std::fs::remove_dir_all(&dir).ok();
@@ -1831,8 +1465,7 @@ mod tests {
     #[test]
     fn shared_handle_analyzes_and_round_trips_stats() {
         let dir = temp_dir("stats_shared");
-        let db = DurableDb::open(&dir).unwrap();
-        let shared = db.into_shared();
+        let shared = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         shared.create_table("readings", schema()).unwrap();
         shared
             .insert_simple(
@@ -1843,11 +1476,10 @@ mod tests {
             .unwrap();
         shared.analyze_table("readings").unwrap();
         shared.checkpoint_incremental().unwrap();
-        let db = shared.into_db().expect("sole handle");
-        let before = db.stats_catalog().encode();
+        let before = shared.stats_catalog().encode();
         assert!(!before.is_empty());
-        drop(db);
-        let db = DurableDb::open(&dir).unwrap();
+        drop(shared);
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         assert_eq!(db.stats_catalog().encode(), before);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1856,9 +1488,9 @@ mod tests {
     fn index_defs_survive_reopen_via_wal_replay() {
         let dir = temp_dir("index_wal");
         {
-            let mut db = DurableDb::open(&dir).unwrap();
+            let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
             db.create_table("readings", schema()).unwrap();
-            insert_n(&mut db, 0, 3);
+            insert_n(&db, 0, 3);
             db.create_index("ix_v", "readings", "v", None).unwrap();
             db.create_index("ix_id", "readings", "id", None).unwrap();
             // Kind is resolved by column certainty when not forced.
@@ -1867,7 +1499,7 @@ mod tests {
             assert_eq!(cat.get("ix_v").unwrap().kind, IndexKind::Cdf);
             assert_eq!(cat.get("ix_id").unwrap().kind, IndexKind::Evx);
         }
-        let db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         let handle = db.indexes();
         let cat = handle.lock();
         assert_eq!(cat.defs().count(), 2, "defs replayed from the WAL");
@@ -1880,9 +1512,9 @@ mod tests {
         let dir = temp_dir("index_ckpt");
         let encoded;
         {
-            let mut db = DurableDb::open(&dir).unwrap();
+            let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
             db.create_table("readings", schema()).unwrap();
-            insert_n(&mut db, 0, 2);
+            insert_n(&db, 0, 2);
             db.checkpoint().unwrap();
             // CREATE INDEX alone counts as incremental-checkpoint work.
             let epoch = db.epoch();
@@ -1893,7 +1525,7 @@ mod tests {
             encoded = db.indexes().lock().encode();
         }
         {
-            let db = DurableDb::open(&dir).unwrap();
+            let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
             assert_eq!(db.recovery().wal_records_replayed, 0, "defs live in the chain");
             assert_eq!(db.indexes().lock().encode(), encoded, "bitwise-identical defs");
         }
@@ -1901,12 +1533,12 @@ mod tests {
             // Dropping retracts the def durably even though the chain still
             // carries its create record: the drop rides the WAL, and the
             // next checkpoint is forced full.
-            let mut db = DurableDb::open(&dir).unwrap();
+            let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
             db.drop_index("ix_v").unwrap();
             db.checkpoint_incremental().unwrap();
             assert!(DeltaFile::list(&dir).unwrap().is_empty(), "drop forces a full ckpt");
         }
-        let db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         assert_eq!(db.indexes().lock().defs().count(), 0, "drop survived recovery");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1914,7 +1546,7 @@ mod tests {
     #[test]
     fn create_index_validates_before_logging() {
         let dir = temp_dir("index_validate");
-        let mut db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         db.create_table("readings", schema()).unwrap();
         assert!(db.create_index("ix", "nope", "v", None).is_err(), "unknown table");
         assert!(db.create_index("ix", "readings", "nope", None).is_err(), "unknown column");
@@ -1932,7 +1564,7 @@ mod tests {
         assert!(db.wal_len() > 0);
         // None of the failed DDL reached the log: recovery sees one def.
         drop(db);
-        let db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         assert_eq!(db.indexes().lock().defs().count(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1940,13 +1572,13 @@ mod tests {
     #[test]
     fn dml_bumps_index_staleness_epoch() {
         let dir = temp_dir("index_epoch");
-        let mut db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         db.create_table("readings", schema()).unwrap();
-        insert_n(&mut db, 0, 1);
+        insert_n(&db, 0, 1);
         // No index defined yet: inserts do not track epochs.
         assert_eq!(db.indexes().lock().epoch("readings"), 0);
         db.create_index("ix_v", "readings", "v", None).unwrap();
-        insert_n(&mut db, 1, 2);
+        insert_n(&db, 1, 2);
         assert_eq!(db.indexes().lock().epoch("readings"), 2, "one bump per insert");
         std::fs::remove_dir_all(&dir).ok();
     }

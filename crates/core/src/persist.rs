@@ -24,6 +24,9 @@
 //!              replay installs-or-overwrites by name, so it is idempotent
 //! [12: index drop] drop one index definition by name; dropping an unknown
 //!              name is a no-op, so replay is idempotent
+//! [13: chunk]  one consecutive piece of a record larger than a page: a
+//!              last-piece flag (u8) plus the piece's bytes — snapshot and
+//!              delta files only
 //! ```
 //!
 //! Records 6–8 never reach [`apply_record`]: WAL replay intercepts them
@@ -32,6 +35,12 @@
 //! stable storage (crash mid-transaction) or that is followed by an abort
 //! marker is discarded wholesale. Snapshots contain only committed state
 //! and therefore never carry tags 6–10.
+//!
+//! A heap page holds at most [`MAX_RECORD`] bytes, but one record can be
+//! larger (an `ANALYZE` stats record carries a cdf sketch per uncertain
+//! column). `insert_record` splits such a record into consecutive chunk
+//! records, and the loaders join them before [`apply_record`] sees the
+//! whole record. The WAL frames records of any length and never chunks.
 //!
 //! Schemas are written first, then bases, then tuples, so a single pass
 //! loads everything. Reference counts are rebuilt from the loaded tuples'
@@ -45,7 +54,7 @@
 //! computations), surfacing [`EngineError::Corrupt`] instead of panicking.
 //! [`apply_record`] applies one tagged record to an in-memory database and
 //! is shared between snapshot loading and WAL replay
-//! ([`crate::durable::DurableDb`]).
+//! ([`crate::durable::SharedDurableDb::open`]).
 
 use crate::error::{EngineError, Result};
 use crate::history::{Ancestors, BasePdf, HistoryRegistry, PdfId};
@@ -57,7 +66,7 @@ use crate::tuple::{NodeDim, PdfNode, ProbTuple, VarId};
 use crate::value::Value;
 use bytes::{Buf, BufMut};
 use orion_storage::codec::{checked_size, decode_joint, encode_joint, need, DecodeError};
-use orion_storage::{DeltaFile, FileStore, HeapFile, MemStore, Page, PageStore};
+use orion_storage::{DeltaFile, FileStore, HeapFile, MemStore, Page, PageStore, MAX_RECORD};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -73,6 +82,7 @@ pub(crate) const TAG_DELETE: u8 = 9;
 pub(crate) const TAG_UPDATE: u8 = 10;
 pub(crate) const TAG_INDEX: u8 = 11;
 pub(crate) const TAG_INDEX_DROP: u8 = 12;
+pub(crate) const TAG_CHUNK: u8 = 13;
 
 fn put_str(s: &str, out: &mut impl BufMut) {
     out.put_u32_le(s.len() as u32);
@@ -329,6 +339,63 @@ pub(crate) fn encode_update(
     out.put_slice(new_tuple_rec);
 }
 
+/// Appends one record to a snapshot or delta heap. A record larger than a
+/// page is split into consecutive `[13: chunk]` records of at most
+/// [`MAX_RECORD`] bytes, the last one flagged; every other record is
+/// written unchanged.
+pub(crate) fn insert_record<S: PageStore>(heap: &mut HeapFile<S>, rec: &[u8]) -> Result<()> {
+    if rec.len() <= MAX_RECORD {
+        heap.insert(rec)?;
+        return Ok(());
+    }
+    let mut pieces = rec.chunks(MAX_RECORD - 2).peekable();
+    let mut buf = Vec::with_capacity(MAX_RECORD);
+    while let Some(piece) = pieces.next() {
+        buf.clear();
+        buf.push(TAG_CHUNK);
+        buf.push(u8::from(pieces.peek().is_none()));
+        buf.extend_from_slice(piece);
+        heap.insert(&buf)?;
+    }
+    Ok(())
+}
+
+/// Applies every record of a snapshot heap to `state` in order, joining
+/// the chunk records [`insert_record`] split an oversized record into.
+fn apply_heap<S: PageStore>(heap: &HeapFile<S>, state: &mut LoadState) -> Result<()> {
+    let mut err: Option<EngineError> = None;
+    let mut pending: Option<Vec<u8>> = None;
+    heap.scan(|_, rec| {
+        let applied = match rec {
+            [TAG_CHUNK, last, piece @ ..] => {
+                pending.get_or_insert_with(Vec::new).extend_from_slice(piece);
+                match *last {
+                    0 => Ok(()),
+                    _ => apply_record(&pending.take().unwrap_or_default(), state),
+                }
+            }
+            _ if pending.is_some() => {
+                Err(EngineError::Corrupt("chunked record interrupted by another record".into()))
+            }
+            _ => apply_record(rec, state),
+        };
+        match applied {
+            Ok(()) => true,
+            Err(e) => {
+                err = Some(e);
+                false
+            }
+        }
+    })?;
+    match (err, pending) {
+        (Some(e), _) => Err(e),
+        (None, Some(_)) => {
+            Err(EngineError::Corrupt("snapshot ends inside a chunked record".into()))
+        }
+        (None, None) => Ok(()),
+    }
+}
+
 /// Saves every relation and the registry into one file at `path`
 /// **atomically**: the snapshot is written to a `.tmp` sibling, fsynced,
 /// and renamed over `path`, so a crash at any point leaves either the old
@@ -392,38 +459,38 @@ pub fn save_snapshot_full(
     let mut buf = Vec::with_capacity(4096);
     if epoch > 0 {
         encode_epoch(epoch, &mut buf);
-        heap.insert(&buf)?;
+        insert_record(&mut heap, &buf)?;
     }
     let mut names: Vec<&String> = tables.keys().collect();
     names.sort();
     for name in &names {
         buf.clear();
         encode_schema(&tables[*name], &mut buf);
-        heap.insert(&buf)?;
+        insert_record(&mut heap, &buf)?;
     }
     let mut bases: Vec<_> = reg.iter_bases().collect();
     bases.sort_by_key(|(id, _)| *id);
     for (id, base) in bases {
         buf.clear();
         encode_base(id, base, &mut buf);
-        heap.insert(&buf)?;
+        insert_record(&mut heap, &buf)?;
     }
     for name in &names {
         for t in &tables[*name].tuples {
             buf.clear();
             encode_tuple(name, t, &mut buf);
-            heap.insert(&buf)?;
+            insert_record(&mut heap, &buf)?;
         }
     }
     for ts in stats.iter() {
         buf.clear();
         encode_stats(ts, &mut buf);
-        heap.insert(&buf)?;
+        insert_record(&mut heap, &buf)?;
     }
     for def in indexes.defs() {
         buf.clear();
         encode_index_def(def, &mut buf);
-        heap.insert(&buf)?;
+        insert_record(&mut heap, &buf)?;
     }
     heap.sync()?;
     drop(heap);
@@ -721,22 +788,9 @@ pub fn apply_record(rec: &[u8], state: &mut LoadState) -> Result<()> {
 }
 
 /// Loads every record of the snapshot at `path` into `state`, without
-/// finishing it — [`crate::durable::DurableDb`] replays WAL records into
-/// the same state afterwards.
+/// finishing it, so a caller can apply further records to the same state.
 pub fn load_into(path: &Path, state: &mut LoadState) -> Result<()> {
-    let heap = HeapFile::new(FileStore::open(path)?, 64);
-    let mut err: Option<EngineError> = None;
-    heap.scan(|_, rec| {
-        if let Err(e) = apply_record(rec, state) {
-            err = Some(e);
-            return false;
-        }
-        true
-    })?;
-    match err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    apply_heap(&HeapFile::new(FileStore::open(path)?, 64), state)
 }
 
 /// Loads a database saved by [`save_database`]. Rebuilds reference counts
@@ -860,19 +914,8 @@ pub fn load_chain(snapshot: &Path, dir: &Path, state: &mut LoadState) -> Result<
         return Ok(ChainReport::default());
     }
     let (mem, report) = fold_chain_pages(snapshot, dir)?;
-    let heap = HeapFile::new(mem, 64);
-    let mut err: Option<EngineError> = None;
-    heap.scan(|_, rec| {
-        if let Err(e) = apply_record(rec, state) {
-            err = Some(e);
-            return false;
-        }
-        true
-    })?;
-    match err {
-        Some(e) => Err(e),
-        None => Ok(report),
-    }
+    apply_heap(&HeapFile::new(mem, 64), state)?;
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -1017,6 +1060,23 @@ mod tests {
         drop(heap);
         let err = load_database(&path).unwrap_err();
         assert!(err.is_corruption(), "unknown tag must classify as corruption: {err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn unterminated_or_interrupted_chunks_are_corruption() {
+        let path = temp("chunks.db");
+        for tail in [None, Some(TAG_INDEX_DROP)] {
+            let mut heap = HeapFile::new(FileStore::create(&path).unwrap(), 8);
+            heap.insert(&[TAG_CHUNK, 0, 1, 2, 3]).unwrap();
+            if let Some(tag) = tail {
+                heap.insert(&[tag, 0, 0]).unwrap();
+            }
+            heap.pool().flush().unwrap();
+            drop(heap);
+            let err = load_database(&path).unwrap_err();
+            assert!(err.is_corruption(), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

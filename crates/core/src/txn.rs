@@ -639,7 +639,6 @@ fn diff_nodes(reg: &mut HistoryRegistry, old_t: &ProbTuple, new_t: &ProbTuple) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durable::DurableDb;
     use crate::schema::ColumnType;
     use orion_storage::GroupCommitConfig;
     use std::path::PathBuf;
@@ -687,8 +686,8 @@ mod tests {
         db.with_tables(|tables, _| assert_eq!(tables["readings"].len(), 3));
         db.check_invariants().unwrap();
         drop(db);
-        let re = DurableDb::open(&dir).unwrap();
-        assert_eq!(re.table("readings").unwrap().len(), 3);
+        let re = open(&dir);
+        assert_eq!(re.with_tables(|t, _| t["readings"].len()), 3);
         re.check_invariants().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -739,8 +738,8 @@ mod tests {
         });
         db.check_invariants().unwrap();
         drop(db);
-        let re = DurableDb::open(&dir).unwrap();
-        let rel = re.table("readings").unwrap();
+        let re = open(&dir);
+        let rel = re.with_tables(|t, _| t["readings"].clone());
         let ids: Vec<i64> = rel.tuples.iter().map(id_of).collect();
         assert_eq!(ids, vec![0, 1, 3]);
         let m = rel.marginal(2, "v").unwrap();
@@ -907,8 +906,9 @@ mod tests {
         b.commit().unwrap();
         let live = db.with_tables(|tables, _| tables["readings"].tuples.clone());
         drop(db);
-        let re = DurableDb::open(&dir).unwrap();
-        assert_eq!(re.table("readings").unwrap().tuples, live, "replay == live, in order");
+        let re = open(&dir);
+        let replayed = re.with_tables(|t, _| t["readings"].tuples.clone());
+        assert_eq!(replayed, live, "replay == live, in order");
         re.check_invariants().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }

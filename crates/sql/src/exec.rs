@@ -46,7 +46,7 @@ pub enum Output {
     /// Statement completed with nothing to return (CREATE / DROP).
     Ok,
     /// The statistics collected by `ANALYZE <table>` (a copy of what was
-    /// installed into the session's stats catalog).
+    /// installed into the stats catalog).
     Analyze(TableStats),
     /// The operator tree of an `EXPLAIN [ANALYZE | TRACE]` statement. With
     /// `analyze` the profile carries real execution stats; without, only
@@ -62,7 +62,7 @@ pub struct Database {
     stats: StatsCatalog,
     metrics: MetricsRegistry,
     io: Arc<IoStats>,
-    txn_db: Option<SharedDurableDb>,
+    engine: Option<SharedDurableDb>,
     workload: Option<Arc<WorkloadRepo>>,
     feedback: Arc<PlanFeedbackStore>,
 }
@@ -93,9 +93,38 @@ impl Database {
             stats: StatsCatalog::new(),
             metrics: orion_obs::metrics::global().clone(),
             io: Arc::new(IoStats::default()),
-            txn_db: None,
+            engine: None,
             workload: None,
             feedback: Arc::new(PlanFeedbackStore::new()),
+        }
+    }
+
+    /// A per-statement query database over a durable engine: `tables` and
+    /// `reg` (a point-in-time view, copied by the caller) plus the
+    /// engine's ANALYZE catalog, a defs+epochs snapshot of its index
+    /// catalog, and its IO, transaction, workload and planner-feedback
+    /// stores behind the `orion.*` system tables.
+    ///
+    /// The index snapshot carries no built trees: any tree the statement
+    /// builds comes from its own table copy and is never cached back into
+    /// the shared catalog, so a commit racing the statement cannot poison
+    /// freshness.
+    pub fn over_engine(
+        engine: &SharedDurableDb,
+        tables: HashMap<String, Relation>,
+        reg: HistoryRegistry,
+    ) -> Self {
+        let indexes = IndexHandle::from_catalog(engine.indexes().lock().snapshot());
+        Database {
+            tables,
+            reg,
+            opts: ExecOptions { indexes: Some(indexes), ..ExecOptions::default() },
+            stats: engine.stats_catalog(),
+            metrics: orion_obs::metrics::global().clone(),
+            io: engine.io_stats(),
+            engine: Some(engine.clone()),
+            workload: Some(engine.workload()),
+            feedback: engine.plan_feedback(),
         }
     }
 
@@ -112,29 +141,10 @@ impl Database {
     }
 
     /// Attaches the buffer-pool counters behind `orion.io` (e.g. a durable
-    /// engine's [`DurableDb::io_stats`](orion_core::durable::DurableDb::io_stats);
-    /// defaults to a detached all-zero instance).
+    /// engine's [`SharedDurableDb::io_stats`]; defaults to a detached
+    /// all-zero instance).
     pub fn set_io_stats(&mut self, io: Arc<IoStats>) {
         self.io = io;
-    }
-
-    /// Attaches a durable engine behind `orion.txns` (its live transaction
-    /// registry; defaults to none, rendering an empty table).
-    pub fn set_txn_db(&mut self, db: SharedDurableDb) {
-        self.txn_db = Some(db);
-    }
-
-    /// Replaces the session's ANALYZE stats catalog (durable sessions seed
-    /// their per-statement query databases with the session-held catalog).
-    pub fn set_stats_catalog(&mut self, stats: StatsCatalog) {
-        self.stats = stats;
-    }
-
-    /// Replaces the session's index catalog handle (durable sessions seed
-    /// per-statement query databases with a snapshot of the engine's
-    /// catalog; see [`IndexCatalog::snapshot`]).
-    pub fn set_index_handle(&mut self, indexes: IndexHandle) {
-        self.opts.indexes = Some(indexes);
     }
 
     /// The session's index catalog handle.
@@ -147,13 +157,6 @@ impl Database {
     /// defaults to none, rendering empty tables).
     pub fn set_workload(&mut self, repo: Arc<WorkloadRepo>) {
         self.workload = Some(repo);
-    }
-
-    /// Replaces the planner-feedback store behind `orion.plan_feedback`.
-    /// Defaults to a private instance; durable sessions attach the engine's
-    /// so feedback accumulates across statements and sessions.
-    pub fn set_plan_feedback(&mut self, store: Arc<PlanFeedbackStore>) {
-        self.feedback = store;
     }
 
     /// The planner-feedback store profiled executions fold into.
@@ -742,7 +745,7 @@ impl Database {
     /// `orion.txns`: one row per live transaction of the attached durable
     /// engine (empty for detached in-memory sessions).
     fn sys_txns(&self) -> Result<Relation> {
-        let rows = match &self.txn_db {
+        let rows = match &self.engine {
             None => Vec::new(),
             Some(db) => db
                 .active_txns()

@@ -19,7 +19,7 @@
 //!   latest committed state otherwise.
 //!
 //! `DROP TABLE` is not supported durably, and `ANALYZE` cannot run inside
-//! a transaction (statistics are session/engine state, not row data).
+//! a transaction (statistics are engine state, not row data).
 
 use crate::ast::Statement;
 use crate::error::{Result, SqlError};
@@ -50,9 +50,6 @@ const SLOW_TRACE_EVENTS: usize = 16;
 pub struct DurableSession {
     db: SharedDurableDb,
     txn: Option<Txn>,
-    /// Session-held ANALYZE results, seeded into every per-statement query
-    /// database (the durable engine persists its own copy via the WAL).
-    stats: StatsCatalog,
     /// Per-session operator counters (pdf ops, index probes), attached to
     /// every query database when the workload repository is enabled so the
     /// statement repository can charge pdf work to statements.
@@ -74,12 +71,7 @@ impl DurableSession {
 
     /// Wraps an already-open shared engine.
     pub fn from_db(db: SharedDurableDb) -> Self {
-        DurableSession {
-            db,
-            txn: None,
-            stats: StatsCatalog::new(),
-            exec_stats: Arc::new(ExecStats::new()),
-        }
+        DurableSession { db, txn: None, exec_stats: Arc::new(ExecStats::new()) }
     }
 
     /// The underlying shared engine.
@@ -209,13 +201,7 @@ impl DurableSession {
                             .into(),
                     ));
                 }
-                self.db.analyze_table(&table)?;
-                let ts = self
-                    .db
-                    .with_tables(|tables, _| tables.get(&table).map(analyze_relation))
-                    .ok_or_else(|| SqlError::Exec(format!("unknown table '{table}'")))??;
-                self.stats.insert(ts.clone());
-                Ok(Output::Analyze(ts))
+                Ok(Output::Analyze(self.db.analyze_table(&table)?))
             }
             read => self.query_db().run(read),
         }
@@ -268,38 +254,21 @@ impl DurableSession {
         }
     }
 
-    /// Builds the per-statement query database: a point-in-time copy of
-    /// the current view (transaction snapshot or committed state) with the
-    /// session's stats catalog and the engine's IO / transaction registries
-    /// attached for the `orion.*` system tables.
+    /// Builds the per-statement query database over the engine (see
+    /// [`Database::over_engine`]) from a point-in-time copy of the current
+    /// view: the transaction snapshot, or the committed state.
     fn query_db(&mut self) -> Database {
         let (tables, reg) = match self.txn.as_mut() {
             Some(txn) => txn.with_view(|t, r| (t.clone(), r.clone())),
             None => self.db.with_tables(|t, r| (t.clone(), r.clone())),
         };
-        let mut qdb = Database::new();
-        for rel in tables.into_values() {
-            qdb.register_table(rel);
-        }
-        *qdb.registry_mut() = reg;
-        qdb.set_stats_catalog(self.stats.clone());
-        qdb.set_io_stats(self.db.io_stats());
-        qdb.set_txn_db(self.db.clone());
-        // A defs+epochs snapshot of the engine catalog (no built cache):
-        // any tree the statement builds comes from its own point-in-time
-        // table copy and is never cached back into the shared catalog, so
-        // a commit racing this statement cannot poison freshness.
-        let cat = self.db.indexes().lock().snapshot();
-        qdb.set_index_handle(IndexHandle::from_catalog(cat));
-        let workload = self.db.workload();
-        if workload.enabled() {
+        let mut qdb = Database::over_engine(&self.db, tables, reg);
+        if self.db.workload().enabled() {
             // Operator-level counters (pdf ops, index probes) cost atomic
             // increments in the hot loops, so they are only attached when
             // the workload repository will read them.
             qdb.set_exec_stats(Arc::clone(&self.exec_stats));
         }
-        qdb.set_workload(workload);
-        qdb.set_plan_feedback(self.db.plan_feedback());
         qdb
     }
 }
@@ -650,6 +619,42 @@ mod tests {
             panic!("table")
         };
         assert_eq!(rel.len(), 2, "one stats row per column");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `orion.stats` rows and the `EXPLAIN` rendering a session plans with.
+    fn planner_view(s: &mut DurableSession) -> (Vec<Vec<Value>>, String) {
+        let Output::Table(rel) = s.execute("SELECT * FROM orion.stats").unwrap() else {
+            panic!("table")
+        };
+        let rows = rel.tuples.iter().map(|t| t.certain.clone()).collect();
+        let sql = "EXPLAIN SELECT rid FROM readings WHERE rid < 10";
+        let Output::Explain { profile, .. } = s.execute(sql).unwrap() else { panic!("explain") };
+        (rows, profile.render(false))
+    }
+
+    #[test]
+    fn analyze_stats_reach_second_and_reopened_sessions() {
+        // The statistics live in the engine: a second session on the same
+        // handle, and a session over the reopened directory, plan with
+        // exactly what the analyzing session sees.
+        let dir = temp_dir("analyze_shared");
+        let analyzed = {
+            let mut s = DurableSession::open(&dir).unwrap();
+            s.execute("CREATE TABLE readings (rid INT, value REAL UNCERTAIN)").unwrap();
+            let rows: Vec<String> =
+                (0..50).map(|i| format!("({i}, GAUSSIAN({}, 2))", i % 7)).collect();
+            s.execute(&format!("INSERT INTO readings VALUES {}", rows.join(", "))).unwrap();
+            s.execute("ANALYZE readings").unwrap();
+            let view = planner_view(&mut s);
+            assert_eq!(view.0.len(), 2, "one stats row per column");
+            assert!(view.1.contains("Scan [readings]  (est_rows=50)"), "{}", view.1);
+            let mut second = DurableSession::from_db(s.db().clone());
+            assert_eq!(planner_view(&mut second), view, "second session on the same handle");
+            view
+        };
+        let mut reopened = DurableSession::open(&dir).unwrap();
+        assert_eq!(planner_view(&mut reopened), analyzed, "session over the reopened directory");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

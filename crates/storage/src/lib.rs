@@ -34,5 +34,5 @@ pub use delta::DeltaFile;
 pub use faults::{Fault, FaultPlan, FaultyStore};
 pub use file::{FileStore, IoSnapshot, IoStats, MemStore, PageId, PageStore};
 pub use heap::{HeapFile, RecordId};
-pub use page::{ChecksumMismatch, Page, PAGE_SIZE};
+pub use page::{ChecksumMismatch, Page, MAX_RECORD, PAGE_SIZE};
 pub use wal::{GroupCommitConfig, GroupWal, Wal, WalReplay, WalStats};

@@ -26,6 +26,10 @@ const CKSUM: usize = 4;
 const SLOT: usize = 4;
 const DEAD: u16 = u16::MAX;
 
+/// Largest record an empty page holds (the page minus its header and one
+/// slot entry). Larger records never fit any page.
+pub const MAX_RECORD: usize = PAGE_SIZE - HEADER - SLOT;
+
 /// A page whose stored CRC32 seal disagrees with its contents — the
 /// signature of a torn or corrupted write. Carried as the payload of an
 /// `io::Error` with kind [`std::io::ErrorKind::InvalidData`].
@@ -227,6 +231,12 @@ mod tests {
         assert_eq!(n, (PAGE_SIZE - HEADER) / (100 + SLOT));
         assert!(!p.fits(100));
         assert!(p.get(n - 1).is_some());
+    }
+
+    #[test]
+    fn max_record_is_the_exact_capacity_of_an_empty_page() {
+        assert!(Page::new().insert(&vec![7u8; MAX_RECORD]).is_some());
+        assert!(Page::new().insert(&vec![7u8; MAX_RECORD + 1]).is_none());
     }
 
     #[test]

@@ -13,6 +13,15 @@ cargo clippy --all-targets -- -D warnings
 echo "== cargo clippy (failpoints) =="
 cargo clippy -p orion-storage -p orion-core -p orion-tests --all-targets --features failpoints -- -D warnings
 
+echo "== perfbench build (--locked) =="
+# The benchmark is its own package with its own lock file, compiled against
+# the engine's public API. Building it here turns an API change that breaks
+# it, or a dependency change that would rewrite perfbench/Cargo.lock, into a
+# CI failure instead of a failed benchmark run. Same target directory as
+# perfbench/run.py.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
+    cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test -q (ORION_THREADS=1) =="
 ORION_THREADS=1 cargo test -q
 

@@ -4,7 +4,7 @@
 //!
 //! Two matrices run here:
 //!
-//! * **WAL matrix** — a [`DurableDb`] is killed at every byte offset of
+//! * **WAL matrix** — a [`SharedDurableDb`] is killed at every byte offset of
 //!   its write-ahead log; recovery must yield exactly the tuples whose
 //!   commit records fit in the surviving prefix, with all structural
 //!   invariants intact and an idempotent second recovery.
@@ -14,10 +14,10 @@
 //!   prefix of records or flag the torn page through its CRC32 seal.
 #![cfg(feature = "failpoints")]
 
-use orion_core::durable::{DurableDb, WAL_FILE};
+use orion_core::durable::WAL_FILE;
 use orion_core::prelude::*;
 use orion_pdf::prelude::*;
-use orion_storage::{FaultPlan, FaultyStore, FileStore, HeapFile, PAGE_SIZE};
+use orion_storage::{FaultPlan, FaultyStore, FileStore, GroupCommitConfig, HeapFile, PAGE_SIZE};
 use std::path::PathBuf;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -36,7 +36,7 @@ fn sensor_schema() -> ProbSchema {
 /// raw WAL bytes plus, for every frame boundary, the number of committed
 /// tuple records up to it.
 fn build_wal_db(dir: &std::path::Path, n: i64) -> Vec<u8> {
-    let mut db = DurableDb::open(dir).unwrap();
+    let db = SharedDurableDb::open(dir, GroupCommitConfig::default()).unwrap();
     db.create_table("readings", sensor_schema()).unwrap();
     for i in 0..n {
         db.insert_simple(
@@ -81,16 +81,16 @@ fn wal_crash_matrix_recovers_committed_prefix_at_every_cut() {
         std::fs::create_dir_all(&scratch).unwrap();
         std::fs::write(scratch.join(WAL_FILE), &wal[..cut]).unwrap();
         let expect = committed_tuples(&wal, cut);
-        let db = DurableDb::open(&scratch).unwrap();
-        let got = db.tables().get("readings").map_or(0, |r| r.len());
+        let db = SharedDurableDb::open(&scratch, GroupCommitConfig::default()).unwrap();
+        let got = db.with_tables(|t, _| t.get("readings").map_or(0, |r| r.len()));
         assert_eq!(got, expect, "cut at byte {cut}");
         db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
         assert_eq!(db.recovery().wal_bytes_truncated, (cut - db.wal_len() as usize) as u64);
         drop(db);
         // Recovery is idempotent: the second open finds a clean log.
-        let db = DurableDb::open(&scratch).unwrap();
+        let db = SharedDurableDb::open(&scratch, GroupCommitConfig::default()).unwrap();
         assert_eq!(db.recovery().wal_bytes_truncated, 0, "second open at cut {cut}");
-        assert_eq!(db.tables().get("readings").map_or(0, |r| r.len()), expect);
+        assert_eq!(db.with_tables(|t, _| t.get("readings").map_or(0, |r| r.len())), expect);
     }
     std::fs::remove_dir_all(&src).ok();
     std::fs::remove_dir_all(&scratch).ok();
@@ -105,7 +105,7 @@ fn post_checkpoint_wal_crash_matrix_never_replays_into_duplicates() {
     use orion_core::durable::SNAPSHOT_FILE;
     let src = temp_dir("ckpt_matrix_src");
     {
-        let mut db = DurableDb::open(&src).unwrap();
+        let db = SharedDurableDb::open(&src, GroupCommitConfig::default()).unwrap();
         db.create_table("readings", sensor_schema()).unwrap();
         for i in 0..2 {
             db.insert_simple(
@@ -135,9 +135,9 @@ fn post_checkpoint_wal_crash_matrix_never_replays_into_duplicates() {
         std::fs::write(scratch.join(SNAPSHOT_FILE), &snap).unwrap();
         std::fs::write(scratch.join(WAL_FILE), &wal[..cut]).unwrap();
         let expect = 2 + committed_tuples(&wal, cut);
-        let db = DurableDb::open(&scratch).unwrap();
+        let db = SharedDurableDb::open(&scratch, GroupCommitConfig::default()).unwrap();
         assert!(db.recovery().snapshot_loaded);
-        assert_eq!(db.table("readings").unwrap().len(), expect, "cut at byte {cut}");
+        assert_eq!(db.with_tables(|t, _| t["readings"].len()), expect, "cut at byte {cut}");
         db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
     }
     std::fs::remove_dir_all(&src).ok();
@@ -148,7 +148,7 @@ fn post_checkpoint_wal_crash_matrix_never_replays_into_duplicates() {
 fn checkpoint_then_crash_preserves_checkpointed_state() {
     let dir = temp_dir("ckpt_crash");
     {
-        let mut db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         db.create_table("readings", sensor_schema()).unwrap();
         for i in 0..3 {
             db.insert_simple(
@@ -170,9 +170,9 @@ fn checkpoint_then_crash_preserves_checkpointed_state() {
     let wal_path = dir.join(WAL_FILE);
     let bytes = std::fs::read(&wal_path).unwrap();
     std::fs::write(&wal_path, &bytes[..bytes.len() / 2]).unwrap();
-    let db = DurableDb::open(&dir).unwrap();
+    let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
     assert!(db.recovery().snapshot_loaded);
-    assert!(db.table("readings").unwrap().len() >= 3, "checkpointed tuples survive");
+    assert!(db.with_tables(|t, _| t["readings"].len()) >= 3, "checkpointed tuples survive");
     db.check_invariants().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -182,7 +182,7 @@ fn leftover_tmp_snapshot_is_ignored_and_replaced() {
     let dir = temp_dir("tmp_snapshot");
     // A crash mid-save leaves a half-written temp file behind.
     std::fs::write(dir.join("snapshot.db.tmp"), b"half-written junk").unwrap();
-    let mut db = DurableDb::open(&dir).unwrap();
+    let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
     db.create_table("readings", sensor_schema()).unwrap();
     db.insert_simple(
         "readings",
@@ -193,9 +193,9 @@ fn leftover_tmp_snapshot_is_ignored_and_replaced() {
     db.checkpoint().unwrap();
     assert!(!dir.join("snapshot.db.tmp").exists(), "checkpoint renames the tmp away");
     drop(db);
-    let db = DurableDb::open(&dir).unwrap();
+    let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
     assert!(db.recovery().snapshot_loaded);
-    assert_eq!(db.table("readings").unwrap().len(), 1);
+    assert_eq!(db.with_tables(|t, _| t["readings"].len()), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -205,38 +205,50 @@ fn failed_wal_append_rolls_back_the_insert() {
     // recovery would never rebuild, nor registry garbage: the insert rolls
     // back wholesale and a retry commits exactly once.
     let dir = temp_dir("append_rollback");
-    let mut db = DurableDb::open(&dir).unwrap();
+    let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
     db.create_table("readings", sensor_schema()).unwrap();
-    let insert = |db: &mut DurableDb, i: i64| {
+    let insert = |db: &SharedDurableDb, i: i64| {
         db.insert_simple(
             "readings",
             &[("id", Value::Int(i))],
             &[("v", Pdf1::gaussian(i as f64, 1.0).unwrap())],
         )
     };
-    insert(&mut db, 0).unwrap();
+    insert(&db, 0).unwrap();
     let committed_len = db.wal_len();
-    let bases_before = db.registry().len();
+    let bases_before = db.with_tables(|_, r| r.len());
     // Fail each of the two appends an insert makes (base pdf, then tuple).
     for nth in 0..2 {
         db.inject_wal_append_failure(nth);
-        assert!(insert(&mut db, 99).is_err(), "injected failure at append {nth}");
-        assert_eq!(db.table("readings").unwrap().len(), 1, "tuple rolled back (append {nth})");
-        assert_eq!(db.registry().len(), bases_before, "bases rolled back (append {nth})");
+        assert!(insert(&db, 99).is_err(), "injected failure at append {nth}");
+        assert_eq!(
+            db.with_tables(|t, _| t["readings"].len()),
+            1,
+            "tuple rolled back (append {nth})"
+        );
+        assert_eq!(
+            db.with_tables(|_, r| r.len()),
+            bases_before,
+            "bases rolled back (append {nth})"
+        );
         assert_eq!(db.wal_len(), committed_len, "wal rolled back (append {nth})");
         db.check_invariants().unwrap();
     }
     // Same for a sync failure: the commit point was never reached.
     db.inject_wal_sync_failure();
-    assert!(insert(&mut db, 99).is_err());
-    assert_eq!(db.table("readings").unwrap().len(), 1);
+    assert!(insert(&db, 99).is_err());
+    assert_eq!(db.with_tables(|t, _| t["readings"].len()), 1);
     assert_eq!(db.wal_len(), committed_len);
     db.check_invariants().unwrap();
     // A retry after the fault clears commits normally, exactly once.
-    insert(&mut db, 1).unwrap();
+    insert(&db, 1).unwrap();
     drop(db);
-    let db = DurableDb::open(&dir).unwrap();
-    assert_eq!(db.table("readings").unwrap().len(), 2, "recovery sees only committed inserts");
+    let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
+    assert_eq!(
+        db.with_tables(|t, _| t["readings"].len()),
+        2,
+        "recovery sees only committed inserts"
+    );
     db.check_invariants().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -244,16 +256,16 @@ fn failed_wal_append_rolls_back_the_insert() {
 #[test]
 fn failed_create_table_leaves_no_phantom_table() {
     let dir = temp_dir("schema_rollback");
-    let mut db = DurableDb::open(&dir).unwrap();
+    let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
     db.inject_wal_append_failure(0);
     assert!(db.create_table("readings", sensor_schema()).is_err());
-    assert!(db.table("readings").is_err(), "table not created in memory");
+    assert!(!db.with_tables(|t, _| t.contains_key("readings")), "table not created in memory");
     assert_eq!(db.wal_len(), 0, "wal rolled back");
     // Retry succeeds and survives recovery.
     db.create_table("readings", sensor_schema()).unwrap();
     drop(db);
-    let db = DurableDb::open(&dir).unwrap();
-    assert!(db.table("readings").is_ok());
+    let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
+    assert!(db.with_tables(|t, _| t.contains_key("readings")));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -262,7 +274,7 @@ fn failed_create_table_leaves_no_phantom_table() {
 /// Returns the directory; the caller snapshots its files before poking.
 fn build_incremental_scenario(name: &str, base: i64, tail: i64) -> PathBuf {
     let dir = temp_dir(name);
-    let mut db = DurableDb::open(&dir).unwrap();
+    let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
     db.create_table("readings", sensor_schema()).unwrap();
     for i in 0..base {
         db.insert_simple(
@@ -297,7 +309,7 @@ fn incremental_delta_write_crash_matrix_keeps_pre_checkpoint_state() {
     let wal = std::fs::read(src.join(WAL_FILE)).unwrap();
     // Produce the delta bytes the checkpoint would have written.
     {
-        let mut db = DurableDb::open(&src).unwrap();
+        let db = SharedDurableDb::open(&src, GroupCommitConfig::default()).unwrap();
         db.checkpoint_incremental().unwrap();
         drop(db);
     }
@@ -312,10 +324,10 @@ fn incremental_delta_write_crash_matrix_keeps_pre_checkpoint_state() {
         std::fs::write(scratch.join(WAL_FILE), &wal).unwrap();
         std::fs::write(scratch.join(format!("{}.tmp", DeltaFile::file_name(2))), &delta[..cut])
             .unwrap();
-        let db = DurableDb::open(&scratch).unwrap();
+        let db = SharedDurableDb::open(&scratch, GroupCommitConfig::default()).unwrap();
         assert_eq!(db.epoch(), 1, "tmp delta must not advance the epoch (cut {cut})");
         assert_eq!(db.recovery().deltas_folded, 0, "tmp delta folded at cut {cut}");
-        assert_eq!(db.table("readings").unwrap().len(), 5, "cut {cut}");
+        assert_eq!(db.with_tables(|t, _| t["readings"].len()), 5, "cut {cut}");
         db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
     }
     std::fs::remove_dir_all(&src).ok();
@@ -334,7 +346,7 @@ fn incremental_wal_reset_crash_matrix_never_mixes_epochs() {
     let snap = std::fs::read(src.join(SNAPSHOT_FILE)).unwrap();
     let stale_wal = std::fs::read(src.join(WAL_FILE)).unwrap();
     {
-        let mut db = DurableDb::open(&src).unwrap();
+        let db = SharedDurableDb::open(&src, GroupCommitConfig::default()).unwrap();
         db.checkpoint_incremental().unwrap();
         drop(db);
     }
@@ -348,12 +360,12 @@ fn incremental_wal_reset_crash_matrix_never_mixes_epochs() {
         std::fs::write(scratch.join(SNAPSHOT_FILE), &snap).unwrap();
         std::fs::write(scratch.join(&delta_name), &delta).unwrap();
         std::fs::write(scratch.join(WAL_FILE), &stale_wal[..cut]).unwrap();
-        let db = DurableDb::open(&scratch).unwrap();
+        let db = SharedDurableDb::open(&scratch, GroupCommitConfig::default()).unwrap();
         assert_eq!(db.epoch(), 2, "delta epoch wins (cut {cut})");
         assert_eq!(db.recovery().deltas_folded, 1, "cut {cut}");
         assert_eq!(db.recovery().wal_records_replayed, 0, "stale records replayed at cut {cut}");
         assert_eq!(
-            db.table("readings").unwrap().len(),
+            db.with_tables(|t, _| t["readings"].len()),
             5,
             "epoch mix: tuple count drifted at cut {cut}"
         );
@@ -372,7 +384,7 @@ fn stale_wal_discard_counter_is_golden() {
     // 3 tuples = 7 — no more, no less.
     let dir = temp_dir("stale_golden");
     {
-        let mut db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         db.create_table("readings", sensor_schema()).unwrap();
         for i in 0..3 {
             db.insert_simple(
@@ -385,28 +397,27 @@ fn stale_wal_discard_counter_is_golden() {
     }
     let stale_wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
     {
-        let mut db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         db.checkpoint().unwrap();
         drop(db);
     }
     assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0);
     // Resurrect the pre-checkpoint log: the simulated torn reset.
     std::fs::write(dir.join(WAL_FILE), &stale_wal).unwrap();
-    let db = DurableDb::open(&dir).unwrap();
+    let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
     assert!(db.recovery().snapshot_loaded);
     assert_eq!(db.recovery().stale_wal_records_discarded, 7, "1 schema + 3 bases + 3 tuples");
     assert_eq!(db.recovery().wal_records_replayed, 0);
-    assert_eq!(db.table("readings").unwrap().len(), 3, "no double-apply");
+    assert_eq!(db.with_tables(|t, _| t["readings"].len()), 3, "no double-apply");
     db.check_invariants().unwrap();
     // The counter surfaces verbatim in the grepable stats JSON.
     assert!(db.stats_json().contains("\"stale_wal_records_discarded\":7"));
     drop(db);
     // Idempotent: the discard is durable, a second open sees a clean log.
-    let db = DurableDb::open(&dir).unwrap();
+    let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
     assert_eq!(db.recovery().stale_wal_records_discarded, 0);
-    assert_eq!(db.table("readings").unwrap().len(), 3);
+    assert_eq!(db.with_tables(|t, _| t["readings"].len()), 3);
     // Same fence after an *incremental* checkpoint: epoch 1 → 2.
-    let mut db = db;
     db.insert_simple(
         "readings",
         &[("id", Value::Int(77))],
@@ -417,10 +428,10 @@ fn stale_wal_discard_counter_is_golden() {
     db.checkpoint_incremental().unwrap();
     drop(db);
     std::fs::write(dir.join(WAL_FILE), &stale_wal).unwrap();
-    let db = DurableDb::open(&dir).unwrap();
+    let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
     // Epoch stamp + 1 base + 1 tuple survived the simulated torn reset.
     assert_eq!(db.recovery().stale_wal_records_discarded, 3, "stamp + base + tuple");
-    assert_eq!(db.table("readings").unwrap().len(), 4);
+    assert_eq!(db.with_tables(|t, _| t["readings"].len()), 4);
     db.check_invariants().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -433,7 +444,7 @@ fn stale_delta_cleanup_counter_is_golden() {
     use orion_storage::DeltaFile;
     let dir = temp_dir("stale_delta_golden");
     {
-        let mut db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         db.create_table("readings", sensor_schema()).unwrap();
         for i in 0..2 {
             db.insert_simple(
@@ -460,11 +471,11 @@ fn stale_delta_cleanup_counter_is_golden() {
         std::fs::write(&delta_path, &stale).unwrap();
         drop(db);
     }
-    let db = DurableDb::open(&dir).unwrap();
+    let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
     assert_eq!(db.recovery().stale_deltas_removed, 1, "exactly the resurrected delta");
     assert_eq!(db.recovery().deltas_folded, 0);
     assert_eq!(db.epoch(), 3);
-    assert_eq!(db.table("readings").unwrap().len(), 3);
+    assert_eq!(db.with_tables(|t, _| t["readings"].len()), 3);
     db.check_invariants().unwrap();
     assert!(DeltaFile::list(&dir).unwrap().is_empty(), "stale delta physically deleted");
     assert!(db.stats_json().contains("\"stale_deltas_removed\":1"));
@@ -572,7 +583,7 @@ fn halt_on_fault_kill_leaves_parseable_flight_dump() {
     }
     let path = dir.join("heap.dat");
     // Concurrent tests may re-point the process-wide dump dir (every
-    // DurableDb::open does); re-arm and retry to make the race harmless.
+    // SharedDurableDb::open does); re-arm and retry to make the race harmless.
     let mut dump = None;
     for _ in 0..5 {
         recorder::set_dump_dir(&dir);
@@ -629,7 +640,7 @@ fn recovery_and_fault_counters_are_grepable() {
     // The observability contract: every durability counter surfaces in a
     // stats JSON a harness can grep.
     let dir = temp_dir("counters");
-    let mut db = DurableDb::open(&dir).unwrap();
+    let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
     db.create_table("readings", sensor_schema()).unwrap();
     db.insert_simple(
         "readings",
@@ -638,7 +649,7 @@ fn recovery_and_fault_counters_are_grepable() {
     )
     .unwrap();
     drop(db);
-    let db = DurableDb::open(&dir).unwrap();
+    let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
     let s = db.stats_json();
     // Schema + base + tuple records land in the WAL.
     assert!(s.contains("\"wal_records_replayed\":3"), "stats: {s}");

@@ -9,7 +9,7 @@
 //!   `fsyncs_saved` move), which is the entire point of the protocol.
 #![cfg(feature = "failpoints")]
 
-use orion_core::durable::{DurableDb, SharedDurableDb};
+use orion_core::durable::SharedDurableDb;
 use orion_core::prelude::*;
 use orion_pdf::prelude::*;
 use orion_storage::GroupCommitConfig;
@@ -94,9 +94,9 @@ fn hammer(
 
 /// Recovers the directory fresh and returns the surviving ids.
 fn recovered_ids(dir: &Path) -> BTreeSet<i64> {
-    let db = DurableDb::open(dir).unwrap();
+    let db = SharedDurableDb::open(dir, GroupCommitConfig::default()).unwrap();
     db.check_invariants().unwrap();
-    ids_of(db.table("readings").unwrap())
+    db.with_tables(|t, _| ids_of(&t["readings"]))
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Persistence under load: databases survive save/load with their
 //! histories intact, and queries over reloaded data remain PWS-consistent.
 
-use orion_core::durable::{DurableDb, WAL_FILE};
+use orion_core::durable::WAL_FILE;
 use orion_core::persist::{load_database, save_database};
 use orion_core::plan::Plan;
 use orion_core::prelude::*;
@@ -118,7 +118,7 @@ fn durable_dir(name: &str) -> PathBuf {
 fn durable_db_recovers_committed_inserts_after_wal_corruption() {
     let dir = durable_dir("wal_garbage");
     {
-        let mut db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         let schema = ProbSchema::new(
             vec![("id", ColumnType::Int, false), ("v", ColumnType::Real, true)],
             vec![],
@@ -139,15 +139,15 @@ fn durable_db_recovers_committed_inserts_after_wal_corruption() {
     let mut f = std::fs::OpenOptions::new().append(true).open(dir.join(WAL_FILE)).unwrap();
     f.write_all(&[0xEE; 23]).unwrap();
     drop(f);
-    let mut db = DurableDb::open(&dir).unwrap();
+    let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
     assert_eq!(db.recovery().wal_bytes_truncated, 23);
-    assert_eq!(db.table("readings").unwrap().len(), 4, "every committed insert survives");
+    assert_eq!(db.with_tables(|t, _| t["readings"].len()), 4, "every committed insert survives");
     db.check_invariants().unwrap();
     // Queries over the recovered data still work.
     let opts = ExecOptions::default();
     let pred = Predicate::cmp("v", CmpOp::Gt, 1.5);
-    let rel = db.table("readings").unwrap().clone();
-    let sel = orion_core::select::select(&rel, &pred, db.registry_mut(), &opts).unwrap();
+    let (rel, mut reg) = db.with_tables(|t, r| (t["readings"].clone(), r.clone()));
+    let sel = orion_core::select::select(&rel, &pred, &mut reg, &opts).unwrap();
     assert!(!sel.is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -156,7 +156,7 @@ fn durable_db_recovers_committed_inserts_after_wal_corruption() {
 fn checkpoint_truncates_wal_and_snapshot_takes_over() {
     let dir = durable_dir("checkpoint");
     {
-        let mut db = DurableDb::open(&dir).unwrap();
+        let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
         let schema = ProbSchema::new(
             vec![("id", ColumnType::Int, false), ("v", ColumnType::Real, true)],
             vec![],
@@ -175,10 +175,10 @@ fn checkpoint_truncates_wal_and_snapshot_takes_over() {
         db.checkpoint().unwrap();
         assert_eq!(db.wal_len(), 0, "checkpoint empties the WAL");
     }
-    let db = DurableDb::open(&dir).unwrap();
+    let db = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
     assert!(db.recovery().snapshot_loaded);
     assert_eq!(db.recovery().wal_records_replayed, 0);
-    assert_eq!(db.table("readings").unwrap().len(), 3);
+    assert_eq!(db.with_tables(|t, _| t["readings"].len()), 3);
     db.check_invariants().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }

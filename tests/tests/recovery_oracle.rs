@@ -1,4 +1,4 @@
-//! Crash-recovery oracle: a differential test between [`DurableDb`] and a
+//! Crash-recovery oracle: a differential test between [`SharedDurableDb`] and a
 //! plain in-memory model applying the identical workload.
 //!
 //! Each scenario runs a randomized (or scripted) sequence of operations —
@@ -26,7 +26,7 @@
 //! Set `ORION_ORACLE_SEED` to replay `oracle_env_seeded_workload` with a
 //! specific seed (used by `scripts/check.sh` to pin three seeds in CI).
 
-use orion_core::durable::{DurableDb, SNAPSHOT_FILE, WAL_FILE};
+use orion_core::durable::{SNAPSHOT_FILE, WAL_FILE};
 use orion_core::pindex::{BuiltIndex, IndexCatalog, IndexDef, IndexKind};
 use orion_core::prelude::*;
 use orion_pdf::prelude::*;
@@ -187,11 +187,11 @@ fn apply_oracle(
 
 /// Applies `op` to the durable side, mirroring the oracle's skip rules.
 /// Returns `true` iff the op committed a WAL record.
-fn apply_db(db: &mut DurableDb, op: &Op) -> bool {
+fn apply_db(db: &SharedDurableDb, op: &Op) -> bool {
     match op {
         Op::Create(i) => {
             let name = table_name(*i);
-            if db.tables().contains_key(&name) {
+            if db.with_tables(|t, _| t.contains_key(&name)) {
                 return false;
             }
             db.create_table(&name, oracle_schema()).unwrap();
@@ -199,7 +199,7 @@ fn apply_db(db: &mut DurableDb, op: &Op) -> bool {
         }
         Op::Simple { table, key, mean } => {
             let name = table_name(*table);
-            if !db.tables().contains_key(&name) {
+            if !db.with_tables(|t, _| t.contains_key(&name)) {
                 return false;
             }
             let [x, y] = simple_pdfs(*mean);
@@ -208,7 +208,7 @@ fn apply_db(db: &mut DurableDb, op: &Op) -> bool {
         }
         Op::Joint { table, key, p } => {
             let name = table_name(*table);
-            if !db.tables().contains_key(&name) {
+            if !db.with_tables(|t, _| t.contains_key(&name)) {
                 return false;
             }
             db.insert(
@@ -221,7 +221,7 @@ fn apply_db(db: &mut DurableDb, op: &Op) -> bool {
         }
         Op::Analyze(i) => {
             let name = table_name(*i);
-            if !db.tables().contains_key(&name) {
+            if !db.with_tables(|t, _| t.contains_key(&name)) {
                 return false;
             }
             db.analyze_table(&name).unwrap();
@@ -230,7 +230,9 @@ fn apply_db(db: &mut DurableDb, op: &Op) -> bool {
         Op::CreateIndex { table, column } => {
             let tname = table_name(*table);
             let name = index_name(*table, *column);
-            if !db.tables().contains_key(&tname) || db.indexes().lock().get(&name).is_some() {
+            if !db.with_tables(|t, _| t.contains_key(&tname))
+                || db.indexes().lock().get(&name).is_some()
+            {
                 return false;
             }
             let (col, kind) = index_target(*column);
@@ -315,14 +317,14 @@ fn fp_ix(
 /// checkpoint*: `fps[0]` is the state baked into the snapshot chain,
 /// `fps[k]` the state after `k` further committed operations (the WAL).
 fn run_workload(dir: &Path, ops: &[Op]) -> Vec<String> {
-    let mut db = DurableDb::open(dir).unwrap();
+    let db = SharedDurableDb::open(dir, GroupCommitConfig::default()).unwrap();
     let mut tables: HashMap<String, Relation> = HashMap::new();
     let mut reg = HistoryRegistry::new();
     let mut stats = StatsCatalog::new();
     let mut ix = IndexCatalog::new();
     let mut fps = vec![fp_ix(&tables, &reg, &stats, &ix)];
     for op in ops {
-        let committed = apply_db(&mut db, op);
+        let committed = apply_db(&db, op);
         match op {
             Op::Full | Op::Incremental => {
                 // Checkpoints move the baseline: the WAL restarts empty.
@@ -342,7 +344,8 @@ fn run_workload(dir: &Path, ops: &[Op]) -> Vec<String> {
     }
     // Live database and oracle agree before any crash is simulated.
     let live_ix = db.indexes();
-    let live = fp_ix(db.tables(), db.registry(), db.stats_catalog(), &live_ix.lock());
+    let stats = db.stats_catalog();
+    let live = db.with_tables(|t, r| fp_ix(t, r, &stats, &live_ix.lock()));
     assert_eq!(live, *fps.last().unwrap(), "live state diverged");
     db.check_invariants().unwrap();
     fps
@@ -398,11 +401,12 @@ fn crash_matrix(src: &Path, fps: &[String], scratch: &Path) {
         }
         std::fs::write(scratch.join(WAL_FILE), &wal[..cut]).unwrap();
         let k = committed_ops(&wal, cut);
-        let db = DurableDb::open(scratch)
+        let db = SharedDurableDb::open(scratch, GroupCommitConfig::default())
             .unwrap_or_else(|e| panic!("recovery failed at cut {cut}: {e}"));
         let handle = db.indexes();
+        let stats = db.stats_catalog();
         assert_eq!(
-            fp_ix(db.tables(), db.registry(), db.stats_catalog(), &handle.lock()),
+            db.with_tables(|t, r| fp_ix(t, r, &stats, &handle.lock())),
             fps[k],
             "recovered state != oracle after {k} ops (cut at byte {cut}/{})",
             wal.len()
@@ -412,7 +416,8 @@ fn crash_matrix(src: &Path, fps: &[String], scratch: &Path) {
         // never persisted, so this is the rebuild path recovery relies on.
         let defs: Vec<IndexDef> = handle.lock().defs().cloned().collect();
         for def in &defs {
-            let rel = &db.tables()[&def.table];
+            let rel = db.with_tables(|t, _| t[&def.table].clone());
+            let rel = &rel;
             let recovered = handle.lock().ensure_built(&def.name, rel).unwrap();
             let fresh = BuiltIndex::build(def, rel, recovered.epoch).unwrap();
             assert_eq!(
@@ -424,10 +429,11 @@ fn crash_matrix(src: &Path, fps: &[String], scratch: &Path) {
         }
         db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
         drop(db);
-        let db = DurableDb::open(scratch).unwrap();
+        let db = SharedDurableDb::open(scratch, GroupCommitConfig::default()).unwrap();
         let handle = db.indexes();
+        let stats = db.stats_catalog();
         assert_eq!(
-            fp_ix(db.tables(), db.registry(), db.stats_catalog(), &handle.lock()),
+            db.with_tables(|t, r| fp_ix(t, r, &stats, &handle.lock())),
             fps[k],
             "second recovery diverged (cut at byte {cut})"
         );

@@ -92,7 +92,8 @@ fn explain_trace_end_to_end_records_workers_wal_and_morsels() {
     // the tracer picks up wal.append / wal.fsync spans.
     let dir = std::env::temp_dir().join("orion_trace_shape_e2e");
     std::fs::remove_dir_all(&dir).ok();
-    let mut ddb = orion_core::durable::DurableDb::open(&dir).expect("open durable db");
+    let ddb = orion_core::durable::SharedDurableDb::open(&dir, GroupCommitConfig::default())
+        .expect("open durable db");
     let schema = ProbSchema::new(
         vec![("id", ColumnType::Int, false), ("v", ColumnType::Real, true)],
         vec![],

@@ -35,7 +35,7 @@
 //! Set `ORION_ORACLE_SEED` to replay `txn_consistency_env_seeded` with a
 //! specific seed (`scripts/check.sh` pins three seeds in CI).
 
-use orion_core::durable::{DurableDb, SNAPSHOT_FILE, WAL_FILE};
+use orion_core::durable::{SNAPSHOT_FILE, WAL_FILE};
 use orion_core::prelude::*;
 use orion_pdf::prelude::*;
 use orion_storage::DeltaFile;
@@ -404,8 +404,9 @@ fn committed_txn_groups(bytes: &[u8], cut: usize) -> usize {
     k
 }
 
-fn fp_db(db: &DurableDb) -> String {
-    fingerprint(db.tables(), db.registry(), db.stats_catalog())
+fn fp_db(db: &SharedDurableDb) -> String {
+    let stats = db.stats_catalog();
+    db.with_tables(|t, r| fingerprint(t, r, &stats))
 }
 
 /// Kills the database at every byte of the surviving WAL: recovery must
@@ -434,7 +435,7 @@ fn kill_matrix(src: &Path, fps: &[String], scratch: &Path) {
         }
         std::fs::write(scratch.join(WAL_FILE), &wal[..cut]).unwrap();
         let k = committed_txn_groups(&wal, cut);
-        let db = DurableDb::open(scratch)
+        let db = SharedDurableDb::open(scratch, GroupCommitConfig::default())
             .unwrap_or_else(|e| panic!("recovery failed at cut {cut}: {e}"));
         assert_eq!(
             fp_db(&db),
@@ -444,7 +445,7 @@ fn kill_matrix(src: &Path, fps: &[String], scratch: &Path) {
         );
         db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
         drop(db);
-        let db = DurableDb::open(scratch).unwrap();
+        let db = SharedDurableDb::open(scratch, GroupCommitConfig::default()).unwrap();
         assert_eq!(fp_db(&db), fps[k], "second recovery diverged (cut at byte {cut})");
         assert_eq!(db.recovery().wal_bytes_truncated, 0, "second open must find a clean log");
     }
@@ -496,7 +497,7 @@ fn run_checker(name: &str, seed: u64, clients: usize, txns: usize, matrix: bool)
 
     // Durability: a clean reopen reproduces the exact oracle state.
     drop(db);
-    let re = DurableDb::open(&dir).unwrap();
+    let re = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
     assert_eq!(fp_db(&re), *verdict.fps.last().unwrap(), "reopen diverged from the oracle");
     assert_eq!(re.recovery().wal_bytes_truncated, 0, "clean shutdown leaves a clean log");
     re.check_invariants().unwrap();
@@ -627,11 +628,11 @@ fn txn_chaos_survives_injected_faults() {
     // Recovery from the surviving log lands exactly on the oracle.
     let expect = fingerprint(&oracle_tables, &oracle_reg, &stats);
     drop(db);
-    let re = DurableDb::open(&dir).unwrap();
+    let re = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
     assert_eq!(fp_db(&re), expect, "post-chaos recovery diverged from the oracle");
     re.check_invariants().unwrap();
     drop(re);
-    let re = DurableDb::open(&dir).unwrap();
+    let re = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap();
     assert_eq!(re.recovery().wal_bytes_truncated, 0, "second open must find a clean log");
     std::fs::remove_dir_all(&dir).ok();
 }
